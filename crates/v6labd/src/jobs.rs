@@ -17,6 +17,11 @@ use v6testbed::scenario::FaultVariant;
 /// manifest tooling; the report is shard-invariant either way).
 pub const DEFAULT_POPULATION_SHARDS: usize = 8;
 
+/// Most shards a population job may ask for. The runner allocates per
+/// shard up front, and the report does not depend on the shard count,
+/// so a larger request buys nothing.
+pub const MAX_POPULATION_SHARDS: usize = 4096;
+
 /// One unit of daemon work, as submitted over `POST /jobs`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobSpec {
@@ -89,9 +94,15 @@ impl JobSpec {
                 if size == 0 {
                     return Err("population job: missing or zero \"size\"".into());
                 }
-                let shards = get_u64(&v, "shards", DEFAULT_POPULATION_SHARDS as u64)?;
+                let default_shards = size.min(DEFAULT_POPULATION_SHARDS as u64);
+                let shards = get_u64(&v, "shards", default_shards)?;
                 if shards == 0 {
                     return Err("population job: \"shards\" must be ≥ 1".into());
+                }
+                if shards > size || shards > MAX_POPULATION_SHARDS as u64 {
+                    return Err(format!(
+                        "population job: \"shards\" must be at most \"size\" and at most {MAX_POPULATION_SHARDS}"
+                    ));
                 }
                 Ok(JobSpec::Population {
                     seed: get_u64(&v, "seed", CANONICAL_BASE_SEED)?,
@@ -274,6 +285,23 @@ mod tests {
         );
         assert!(JobSpec::parse(r#"{"kind":"population"}"#).is_err());
         assert!(JobSpec::parse(r#"{"kind":"population","size":5,"shards":0}"#).is_err());
+        assert!(JobSpec::parse(r#"{"kind":"population","size":5,"shards":6}"#).is_err());
+        assert!(
+            JobSpec::parse(r#"{"kind":"population","size":100000,"shards":1099511627776}"#)
+                .is_err()
+        );
+        let max = MAX_POPULATION_SHARDS;
+        let at_cap = format!(r#"{{"kind":"population","size":100000,"shards":{max}}}"#);
+        assert!(JobSpec::parse(&at_cap).is_ok());
+        let over_cap = format!(
+            r#"{{"kind":"population","size":100000,"shards":{}}}"#,
+            max + 1
+        );
+        assert!(JobSpec::parse(&over_cap).is_err());
+        // A population smaller than the default shard count defaults to
+        // one shard per cell.
+        let tiny = JobSpec::parse(r#"{"kind":"population","size":3}"#).unwrap();
+        assert!(matches!(tiny, JobSpec::Population { shards: 3, .. }));
         assert!(JobSpec::parse(r#"{"kind":"matrix","fault":"no-such"}"#).is_err());
         assert!(JobSpec::parse(r#"{"kind":"mystery"}"#).is_err());
         assert!(JobSpec::parse("not json").is_err());

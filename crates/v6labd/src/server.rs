@@ -2,10 +2,22 @@
 //!
 //! Hand-rolled over `std::net::TcpListener` — the workspace builds
 //! offline, so no async runtime or HTTP crate. One request per
-//! connection (the `v6portal` wire subset), a pool of worker threads
-//! executing jobs off a shared condvar queue (each worker budgeted a
-//! slice of the simulation threads), and a non-blocking accept loop
-//! that polls the shutdown flag so SIGTERM lands between connections.
+//! connection (the `v6portal` wire subset), served by a fixed pool of
+//! `HANDLERS` threads, each blocked in `accept()` on its own clone of
+//! the listener, so a request is picked up the moment it arrives. Each
+//! request must arrive whole within [`REQUEST_DEADLINE`], so a client
+//! that stalls holds its handler for at most that long; the API stalls
+//! only while `HANDLERS` clients are stalled at once. Jobs run on a
+//! separate pool of worker threads off a shared condvar queue (each
+//! worker budgeted a slice of the simulation threads).
+//!
+//! Shutdown drains the handler pool in a chain: a handler that sees the
+//! shutdown flag connects once to the daemon's own address before it
+//! returns, which wakes the next handler out of `accept()`.
+//! [`LabServer::stop`] starts the chain the same way. The SIGTERM latch
+//! is checked by every handler as it accepts a connection, and by each
+//! idle job worker on its 50 ms queue wait, so SIGTERM is seen whether
+//! the daemon is busy or idle.
 //!
 //! | route                    | method | body                                   |
 //! |--------------------------|--------|----------------------------------------|
@@ -19,13 +31,13 @@
 //! | `/shutdown`              | POST   | graceful stop                          |
 
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use v6fleet::FleetRunner;
-use v6portal::http::{format_response, HttpRequest};
+use v6portal::http::{format_response, HttpRequest, RequestReader};
 use v6report::Json;
 
 use crate::jobs::{JobSpec, JobStatus};
@@ -35,8 +47,11 @@ use crate::state::{LabState, LiveObserver};
 /// Process-wide SIGTERM latch (signal handlers can only touch statics).
 static SIGTERM: AtomicBool = AtomicBool::new(false);
 
+/// Route SIGTERM to a graceful shutdown of every [`LabServer`] in the
+/// process. [`serve`] calls this; an embedder that wants the same
+/// behaviour calls it once before starting its server.
 #[cfg(unix)]
-fn install_sigterm_handler() {
+pub fn install_sigterm_handler() {
     extern "C" {
         fn signal(signum: i32, handler: usize) -> usize;
     }
@@ -49,8 +64,33 @@ fn install_sigterm_handler() {
     }
 }
 
+/// SIGTERM does not exist here; nothing to install.
 #[cfg(not(unix))]
-fn install_sigterm_handler() {}
+pub fn install_sigterm_handler() {}
+
+/// Request-handler threads, each blocked in `accept()`.
+const HANDLERS: usize = 2;
+
+/// Time a client gets to deliver its whole request.
+pub const REQUEST_DEADLINE: Duration = Duration::from_secs(5);
+
+/// Pause after a failed `accept()`, so a persistent error (EMFILE,
+/// ENFILE) does not spin the handler.
+const ACCEPT_ERROR_PAUSE: Duration = Duration::from_millis(10);
+
+/// Wake one handler blocked in `accept()` so it sees the shutdown flag.
+fn wake_handler(addr: SocketAddr) {
+    let _ = TcpStream::connect(addr);
+}
+
+/// Fold the process-wide SIGTERM latch into the shutdown flag; true
+/// once the daemon is shutting down for any reason.
+fn shutdown_requested(state: &LabState) -> bool {
+    if SIGTERM.load(Ordering::SeqCst) {
+        state.begin_shutdown();
+    }
+    state.shutting_down()
+}
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -86,17 +126,19 @@ pub struct LabServer {
     pub addr: std::net::SocketAddr,
     /// Shared daemon state.
     pub state: Arc<LabState>,
-    accept_handle: std::thread::JoinHandle<()>,
+    handler_handles: Vec<std::thread::JoinHandle<()>>,
     worker_handles: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl LabServer {
-    /// Bind, spawn the worker pool and accept thread, and return. The
-    /// daemon is ready for requests when this returns.
+    /// Bind, spawn the worker and handler pools, and return. The daemon
+    /// is ready for requests when this returns.
     pub fn start(config: ServerConfig) -> std::io::Result<LabServer> {
         let listener = TcpListener::bind(("127.0.0.1", config.port))?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
+        let listeners = (0..HANDLERS)
+            .map(|_| listener.try_clone())
+            .collect::<std::io::Result<Vec<_>>>()?;
         let state = LabState::new(config.threads.max(1), config.workers.max(1));
         {
             let mut scheduler = state.scheduler.lock().expect("scheduler lock");
@@ -108,32 +150,37 @@ impl LabServer {
         let worker_handles = (0..config.workers.max(1))
             .map(|_| {
                 let worker_state = Arc::clone(&state);
-                std::thread::spawn(move || worker_loop(&worker_state))
+                std::thread::spawn(move || worker_loop(&worker_state, addr))
             })
             .collect();
 
-        let accept_state = Arc::clone(&state);
-        let accept_handle = std::thread::spawn(move || accept_loop(listener, &accept_state));
+        let handler_handles = listeners
+            .into_iter()
+            .map(|listener| {
+                let handler_state = Arc::clone(&state);
+                std::thread::spawn(move || handler_loop(&listener, &handler_state, addr))
+            })
+            .collect();
 
         Ok(LabServer {
             addr,
             state,
-            accept_handle,
+            handler_handles,
             worker_handles,
         })
     }
 
     /// Block until shutdown (SIGTERM or `POST /shutdown`) completes.
     pub fn join(self) {
-        let _ = self.accept_handle.join();
-        for handle in self.worker_handles {
+        for handle in self.handler_handles.into_iter().chain(self.worker_handles) {
             let _ = handle.join();
         }
     }
 
-    /// Ask the daemon to stop and wait for both threads.
+    /// Ask the daemon to stop and wait for every thread.
     pub fn stop(self) {
         self.state.begin_shutdown();
+        wake_handler(self.addr);
         self.join();
     }
 }
@@ -149,24 +196,21 @@ pub fn serve(config: ServerConfig) -> std::io::Result<()> {
     Ok(())
 }
 
-fn accept_loop(listener: TcpListener, state: &Arc<LabState>) {
-    loop {
-        if SIGTERM.load(Ordering::SeqCst) {
-            state.begin_shutdown();
-        }
-        if state.shutting_down() {
-            return;
-        }
+/// One request handler: serve whatever `accept()` hands over until
+/// shutdown, then pass the wake-up on to the next handler. A connection
+/// accepted once shutdown has begun (a wake-up among them) is closed
+/// unanswered.
+fn handler_loop(listener: &TcpListener, state: &Arc<LabState>, addr: SocketAddr) {
+    while !shutdown_requested(state) {
         match listener.accept() {
-            Ok((stream, _peer)) => {
+            Ok((stream, _peer)) if !shutdown_requested(state) => {
                 let _ = handle_connection(stream, state);
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(1)),
+            Ok(_) => {}
+            Err(_) => std::thread::sleep(ACCEPT_ERROR_PAUSE),
         }
     }
+    wake_handler(addr);
 }
 
 /// Jobs run here, off the shared condvar queue. Every worker in the
@@ -174,19 +218,21 @@ fn accept_loop(listener: TcpListener, state: &Arc<LabState>) {
 /// of the simulation-thread budget, so concurrent jobs never
 /// oversubscribe the configured total. Each job completion advances the
 /// virtual clock one tick, fires any due cron entries, and feeds the
-/// detector.
-fn worker_loop(state: &Arc<LabState>) {
+/// detector. The idle queue wait doubles as the SIGTERM check, and a
+/// worker that sees shutdown wakes a handler on its way out.
+fn worker_loop(state: &Arc<LabState>, addr: SocketAddr) {
     let budget = (state.threads / state.workers).max(1);
     let runner = FleetRunner::new(budget);
     loop {
         let id = {
             let mut queue = state.queue.lock().expect("queue lock");
             loop {
+                if shutdown_requested(state) {
+                    wake_handler(addr);
+                    return;
+                }
                 if let Some(id) = queue.pop_front() {
                     break id;
-                }
-                if state.shutting_down() {
-                    return;
                 }
                 queue = state
                     .queue_cv
@@ -196,9 +242,6 @@ fn worker_loop(state: &Arc<LabState>) {
             }
         };
         run_one_job(state, &runner, id);
-        if state.shutting_down() {
-            return;
-        }
     }
 }
 
@@ -252,29 +295,28 @@ fn run_one_job(state: &Arc<LabState>, runner: &FleetRunner, id: u64) {
 }
 
 fn handle_connection(mut stream: TcpStream, state: &Arc<LabState>) -> std::io::Result<()> {
-    stream.set_nonblocking(false)?;
-    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
-    let mut raw = Vec::new();
+    let deadline = Instant::now() + REQUEST_DEADLINE;
+    let mut reader = RequestReader::new();
     let mut buf = [0u8; 4096];
-    let request = loop {
+    let parsed = loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Ok(());
+        }
+        stream.set_read_timeout(Some(left))?;
         let n = stream.read(&mut buf)?;
         if n == 0 {
             // Peer closed before a full request arrived.
-            match HttpRequest::parse(&raw) {
-                Some(req) => break req,
-                None => return Ok(()),
-            }
-        }
-        raw.extend_from_slice(&buf[..n]);
-        if let Some(req) = HttpRequest::parse(&raw) {
-            break req;
-        }
-        if raw.len() > 1 << 20 {
-            let _ = stream.write_all(format_response(400, "request too large").as_bytes());
             return Ok(());
         }
+        if let Some(parsed) = reader.feed(&buf[..n]).transpose() {
+            break parsed;
+        }
     };
-    let (status, body) = route(&request, state);
+    let (status, body) = match parsed {
+        Ok(request) => route(&request, state),
+        Err(e) => (400, json_error(e.reason())),
+    };
     stream.write_all(format_response(status, &body).as_bytes())?;
     stream.flush()
 }

@@ -296,6 +296,99 @@ fn the_wire_rejects_what_it_should() {
     let early = get(addr, &format!("/jobs/{id}/manifest"));
     assert_eq!(early.status, 404);
 
+    // A shard count no runner could allocate is refused at the door,
+    // and the daemon stays up to say so.
+    let huge = post(
+        addr,
+        "/jobs",
+        r#"{"kind":"population","size":1,"shards":1099511627776}"#,
+    );
+    assert_eq!(huge.status, 400, "{}", huge.body);
+    assert_eq!(get(addr, "/health").status, 200);
+
+    // Malformed framing is a 400, not a hang or a silent zero-length body.
+    for raw in [
+        "POST /jobs HTTP/1.1\r\nContent-Length: ten\r\n\r\n{}",
+        "POST /jobs HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\n{}",
+        "POST /jobs HTTP/1.1\r\nContent-Length: 2000000\r\n\r\n",
+        "GARBAGE\r\n\r\n",
+    ] {
+        assert_eq!(exchange(addr, raw).status, 400, "{raw:?}");
+    }
+    // 8 KiB without the end of the header block is refused once it has
+    // all arrived (sending no more keeps the close a clean FIN).
+    let mut oversized_head = format!(
+        "GET /health HTTP/1.1\r\nX-Filler: {}",
+        "a".repeat(v6portal::http::MAX_HEAD_BYTES)
+    );
+    oversized_head.truncate(v6portal::http::MAX_HEAD_BYTES);
+    assert_eq!(exchange(addr, &oversized_head).status, 400);
+    assert_eq!(get(addr, "/health").status, 200);
+
+    server.stop();
+}
+
+#[test]
+fn an_idle_connection_does_not_delay_health() {
+    let server = LabServer::start(ServerConfig::default()).expect("daemon starts");
+    let addr = server.addr;
+
+    // A client that connects and sends nothing occupies one handler.
+    // Its connection is queued ahead of the /health one, so it is
+    // accepted first.
+    let idle = TcpStream::connect(addr).expect("idle client connects");
+
+    let start = Instant::now();
+    assert_eq!(get(addr, "/health").status, 200);
+    let waited = start.elapsed();
+    assert!(
+        waited < Duration::from_millis(250),
+        "/health waited {waited:?} behind an idle connection"
+    );
+
+    drop(idle);
+    server.stop();
+}
+
+#[test]
+fn a_trickling_client_is_cut_off_at_the_request_deadline() {
+    let server = LabServer::start(ServerConfig::default()).expect("daemon starts");
+    let addr = server.addr;
+
+    // One byte every 250 ms never completes a header block; each read
+    // returns well inside any per-read timeout, so only a deadline on
+    // the whole request ends it.
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_millis(250)))
+        .unwrap();
+    let start = Instant::now();
+    let mut probe = [0u8; 64];
+    let closed_after = loop {
+        let elapsed = start.elapsed();
+        assert!(
+            elapsed < v6labd::server::REQUEST_DEADLINE * 2,
+            "trickling client still held a handler after {elapsed:?}"
+        );
+        if stream.write_all(b"a").is_err() {
+            break elapsed;
+        }
+        match stream.read(&mut probe) {
+            Ok(_) => break start.elapsed(),
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ) => {}
+            Err(_) => break start.elapsed(),
+        }
+    };
+    assert!(
+        closed_after >= v6labd::server::REQUEST_DEADLINE - Duration::from_millis(500),
+        "closed early, after {closed_after:?}"
+    );
+    assert_eq!(get(addr, "/health").status, 200);
+
     server.stop();
 }
 
@@ -304,7 +397,7 @@ fn shutdown_over_http_stops_both_threads() {
     let server = LabServer::start(ServerConfig::default()).expect("daemon starts");
     let addr = server.addr;
     assert_eq!(post(addr, "/shutdown", "").status, 200);
-    // join() returns only once the accept and worker threads exit; a
+    // join() returns only once the handler and worker threads exit; a
     // hang here is the failure mode this test exists to catch.
     server.join();
     // The listener is gone: a fresh connection must fail (allow a beat

@@ -100,11 +100,13 @@ bench-smoke:
 
 # The differential codec-conformance pass at CI depth: owned-vs-view
 # parse equality over the committed corpus plus 256 proptest cases per
-# suite, both checksum kernels, and the frame-pool steady-state gate.
+# suite, the HTTP request-parser robustness properties, both checksum
+# kernels, and the frame-pool steady-state gate.
 conformance:
     PROPTEST_CASES=256 cargo test -p v6wire --test conformance -q
     PROPTEST_CASES=256 cargo test -p v6wire --test prop_roundtrip -q
     PROPTEST_CASES=256 cargo test -p v6dns --test conformance -q
+    PROPTEST_CASES=256 cargo test -p v6portal --test http_fuzz -q
     SC24_CHECKSUM_KERNEL=scalar cargo test -p v6wire -q
     cargo test -q --test pool_steady_state
 
