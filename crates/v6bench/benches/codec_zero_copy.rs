@@ -1,13 +1,13 @@
 //! Zero-copy codec microbenchmarks: the borrowed view layer against the
 //! owned decoders it must match byte-for-byte (see the conformance suites),
-//! plus the scalar/SWAR checksum kernels.
+//! plus the word checksum kernel against its two-byte reference.
 //!
 //! Inputs are the committed conformance corpus, so the numbers describe the
 //! exact frames the differential suite proves equivalence on.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use v6dns::{Message, MessageView};
-use v6wire::checksum::{checksum_with, Kernel};
+use v6wire::checksum::{checksum, checksum_reference};
 use v6wire::packet::summarize;
 use v6wire::view::FrameView;
 use v6wire::ParsedFrame;
@@ -93,12 +93,10 @@ fn bench_checksum_kernels(c: &mut Criterion) {
     let buf: Vec<u8> = (0..1500u32).map(|i| (i * 31) as u8).collect();
     let mut g = c.benchmark_group("codec_zero_copy/checksum_1500b");
     g.throughput(Throughput::Bytes(buf.len() as u64));
-    g.bench_function("scalar", |b| {
-        b.iter(|| std::hint::black_box(checksum_with(Kernel::Scalar, &buf)))
+    g.bench_function("reference", |b| {
+        b.iter(|| std::hint::black_box(checksum_reference(&buf)))
     });
-    g.bench_function("swar", |b| {
-        b.iter(|| std::hint::black_box(checksum_with(Kernel::Swar, &buf)))
-    });
+    g.bench_function("word", |b| b.iter(|| std::hint::black_box(checksum(&buf))));
     g.finish();
 }
 

@@ -185,6 +185,25 @@ impl DhcpOption {
         }
     }
 
+    /// Validate one option exactly as [`DhcpOption::decode`] would,
+    /// returning the message type when this is option 53.
+    fn check(code: u8, data: &[u8]) -> Result<Option<DhcpMessageType>, DhcpError> {
+        match code {
+            1 | 50 | 54 if data.len() < 4 => Err(DhcpError::Truncated("option-ip")),
+            3 | 6 if !data.len().is_multiple_of(4) => {
+                Err(DhcpError::BadField("option-ip-list", data.len() as u64))
+            }
+            51 | 108 if data.len() < 4 => Err(DhcpError::Truncated("option-u32")),
+            53 => data
+                .first()
+                .copied()
+                .and_then(DhcpMessageType::from_u8)
+                .map(Some)
+                .ok_or(DhcpError::NoMessageType),
+            _ => Ok(None),
+        }
+    }
+
     fn decode(code: u8, data: &[u8]) -> Result<DhcpOption, DhcpError> {
         let ip = |d: &[u8]| -> Result<Ipv4Addr, DhcpError> {
             if d.len() < 4 {
@@ -334,6 +353,12 @@ impl DhcpMessage {
     /// Serialize to wire bytes.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(300);
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Append the wire form to `out` (a frame buffer on the hot path).
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.push(if self.is_reply { 2 } else { 1 });
         out.push(1); // htype: Ethernet
         out.push(6); // hlen
@@ -351,10 +376,50 @@ impl DhcpMessage {
         out.extend_from_slice(&[0u8; 128]); // file
         out.extend_from_slice(&MAGIC.to_be_bytes());
         for opt in &self.options {
-            opt.encode(&mut out);
+            opt.encode(out);
         }
         out.push(255); // end
-        out
+    }
+
+    /// What DHCP snooping reads — the BOOTREPLY flag and the message type
+    /// (first option 53) — with exactly [`DhcpMessage::decode`]'s
+    /// accept/reject behaviour but without building the option list.
+    pub fn peek_kind(buf: &[u8]) -> Result<(bool, Option<DhcpMessageType>), DhcpError> {
+        if buf.len() < 240 {
+            return Err(DhcpError::Truncated("fixed-header"));
+        }
+        let op = buf[0];
+        if op != 1 && op != 2 {
+            return Err(DhcpError::BadField("op", u64::from(op)));
+        }
+        let cookie = u32::from_be_bytes([buf[236], buf[237], buf[238], buf[239]]);
+        if cookie != MAGIC {
+            return Err(DhcpError::BadCookie(cookie));
+        }
+        let mut kind = None;
+        let mut pos = 240;
+        while pos < buf.len() {
+            let code = buf[pos];
+            pos += 1;
+            match code {
+                0 => continue,
+                255 => break,
+                _ => {
+                    if pos >= buf.len() {
+                        return Err(DhcpError::Truncated("option-len"));
+                    }
+                    let len = buf[pos] as usize;
+                    pos += 1;
+                    if pos + len > buf.len() {
+                        return Err(DhcpError::Truncated("option-data"));
+                    }
+                    let mt = DhcpOption::check(code, &buf[pos..pos + len])?;
+                    kind = kind.or(mt);
+                    pos += len;
+                }
+            }
+        }
+        Ok((op == 2, kind))
     }
 
     /// Parse from wire bytes.

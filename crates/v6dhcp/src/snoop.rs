@@ -61,10 +61,19 @@ impl DhcpSnoop {
 
     /// Judge one DHCP message arriving on `ingress`.
     pub fn inspect(&mut self, ingress: PortId, msg: &DhcpMessage) -> SnoopVerdict {
-        let is_server_msg = msg.is_reply
-            || msg
-                .message_type()
-                .is_some_and(DhcpMessageType::is_server_message);
+        self.inspect_kind(ingress, msg.is_reply, msg.message_type())
+    }
+
+    /// [`DhcpSnoop::inspect`] on the fields [`DhcpMessage::peek_kind`]
+    /// reads straight from the wire.
+    pub fn inspect_kind(
+        &mut self,
+        ingress: PortId,
+        is_reply: bool,
+        message_type: Option<DhcpMessageType>,
+    ) -> SnoopVerdict {
+        let is_server_msg =
+            is_reply || message_type.is_some_and(DhcpMessageType::is_server_message);
         if is_server_msg && !self.trusted.contains(&ingress) {
             self.dropped += 1;
             SnoopVerdict::DropUntrustedServer

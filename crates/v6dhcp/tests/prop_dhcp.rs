@@ -74,6 +74,33 @@ proptest! {
     #[test]
     fn decoder_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
         let _ = DhcpMessage::decode(&bytes);
+        let _ = DhcpMessage::peek_kind(&bytes);
+    }
+
+    /// The snooping peek accepts exactly what the owned decoder accepts,
+    /// with the same error, and reads the same reply flag and message type
+    /// — over valid messages and their single-byte corruptions and
+    /// truncations in the option area.
+    #[test]
+    fn peek_kind_agrees_with_decode(
+        opts in proptest::collection::vec(arb_option(), 0..6),
+        reply in any::<bool>(),
+        at in 0usize..120,
+        byte in any::<u8>(),
+        cut in 0usize..120,
+    ) {
+        let mut m = DhcpMessage::client(DhcpMessageType::Discover, 7, MacAddr::new([2, 0, 0, 0, 0, 1]));
+        m.is_reply = reply;
+        m.options.extend(opts);
+        let clean = m.encode();
+        let mut corrupt = clean.clone();
+        let i = 236 + at % (corrupt.len() - 236);
+        corrupt[i] = byte;
+        let short = &clean[..clean.len() - cut.min(clean.len() - 230)];
+        for bytes in [&clean[..], &corrupt[..], short] {
+            let owned = DhcpMessage::decode(bytes).map(|d| (d.is_reply, d.message_type()));
+            prop_assert_eq!(DhcpMessage::peek_kind(bytes), owned);
+        }
     }
 
     /// No two concurrent clients ever receive the same address, regardless

@@ -3,7 +3,6 @@
 use crate::name::DnsName;
 use std::fmt;
 use std::net::{Ipv4Addr, Ipv6Addr};
-use v6wire::fasthash::FastMap;
 
 /// Decoding errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -332,7 +331,16 @@ impl Message {
     /// Serialize to wire bytes with name compression.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(128);
-        let mut offsets: FastMap<&[String], u16> = FastMap::default();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Append the wire form to `out` — straight into a frame buffer on the
+    /// simulator's hot path. Compression offsets are relative to where the
+    /// message starts, so the bytes equal [`Message::encode`]'s.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let start = out.len();
+        let mut offsets = Offsets::default();
         out.extend_from_slice(&self.id.to_be_bytes());
         let mut b2 = 0u8;
         if self.is_response {
@@ -360,7 +368,7 @@ impl Message {
         out.extend_from_slice(&(self.authorities.len() as u16).to_be_bytes());
         out.extend_from_slice(&(self.additionals.len() as u16).to_be_bytes());
         for q in &self.questions {
-            encode_name(&mut out, &q.name, &mut offsets);
+            encode_name(out, start, &q.name, &mut offsets);
             out.extend_from_slice(&q.rtype.to_u16().to_be_bytes());
             out.extend_from_slice(&1u16.to_be_bytes()); // class IN
         }
@@ -370,9 +378,19 @@ impl Message {
             .chain(self.authorities.iter())
             .chain(self.additionals.iter())
         {
-            encode_record(&mut out, r, &mut offsets);
+            encode_record(out, start, r, &mut offsets);
         }
-        out
+    }
+
+    /// Append the wire form of `Message::query(id, question)` without
+    /// building the message: the stub's per-query fast path.
+    pub fn encode_query_into(out: &mut Vec<u8>, id: u16, question: &Question) {
+        let start = out.len();
+        out.extend_from_slice(&id.to_be_bytes());
+        out.extend_from_slice(&[0x01, 0, 0, 1, 0, 0, 0, 0, 0, 0]); // RD; one question
+        encode_name(out, start, &question.name, &mut Offsets::default());
+        out.extend_from_slice(&question.rtype.to_u16().to_be_bytes());
+        out.extend_from_slice(&1u16.to_be_bytes()); // class IN
     }
 
     /// Parse from wire bytes.
@@ -443,25 +461,58 @@ pub(crate) fn read_u32(buf: &[u8], pos: &mut usize) -> Result<u32, DnsError> {
     Ok(v)
 }
 
+/// Name-suffix → message-offset table for compression. A message writes
+/// a few dozen suffixes at most, so a linear scan over an inline array
+/// beats hashing and allocates nothing; longer messages spill to a `Vec`.
+/// Entries are unique (a suffix is inserted only when absent), so lookup
+/// order cannot change which offset is found.
+#[derive(Default)]
+struct Offsets<'n> {
+    inline: [(&'n [String], u16); 24],
+    len: usize,
+    spill: Vec<(&'n [String], u16)>,
+}
+
+impl<'n> Offsets<'n> {
+    fn get(&self, suffix: &[String]) -> Option<u16> {
+        self.inline[..self.len]
+            .iter()
+            .chain(&self.spill)
+            .find(|(s, _)| *s == suffix)
+            .map(|&(_, off)| off)
+    }
+
+    fn insert(&mut self, suffix: &'n [String], off: u16) {
+        if self.len < self.inline.len() {
+            self.inline[self.len] = (suffix, off);
+            self.len += 1;
+        } else {
+            self.spill.push((suffix, off));
+        }
+    }
+}
+
 /// Encode `name`, emitting a compression pointer when any suffix of it has
-/// already been written (RFC 1035 §4.1.4).
+/// already been written (RFC 1035 §4.1.4). `start` is where the message
+/// begins in `out`; pointers are relative to it.
 ///
-/// The compression map is keyed by borrowed label slices: a suffix is just
-/// `&labels[i..]` of a name the message already owns, so tracking it
+/// The compression table is keyed by borrowed label slices: a suffix is
+/// just `&labels[i..]` of a name the message already owns, so tracking it
 /// allocates nothing. Because `DnsName` canonicalizes to lower case at
 /// construction, slice equality is exactly DNS name equality, and the
 /// first-occurrence pointer targets (hence the emitted bytes) are identical
 /// to the historic owned-key implementation.
-fn encode_name<'n>(out: &mut Vec<u8>, name: &'n DnsName, offsets: &mut FastMap<&'n [String], u16>) {
+fn encode_name<'n>(out: &mut Vec<u8>, start: usize, name: &'n DnsName, offsets: &mut Offsets<'n>) {
     let labels = name.labels();
     for i in 0..labels.len() {
         let suffix = &labels[i..];
-        if let Some(&off) = offsets.get(suffix) {
+        if let Some(off) = offsets.get(suffix) {
             out.extend_from_slice(&(0xc000 | off).to_be_bytes());
             return;
         }
-        if out.len() < 0x3fff {
-            offsets.insert(suffix, out.len() as u16);
+        let here = out.len() - start;
+        if here < 0x3fff {
+            offsets.insert(suffix, here as u16);
         }
         let l = labels[i].as_bytes();
         out.push(l.len() as u8);
@@ -531,8 +582,8 @@ fn decode_name(buf: &[u8], pos: &mut usize) -> Result<DnsName, DnsError> {
     DnsName::from_lowercased_labels(labels).map_err(|_| DnsError::BadField("name", 0))
 }
 
-fn encode_record<'n>(out: &mut Vec<u8>, r: &'n Record, offsets: &mut FastMap<&'n [String], u16>) {
-    encode_name(out, &r.name, offsets);
+fn encode_record<'n>(out: &mut Vec<u8>, start: usize, r: &'n Record, offsets: &mut Offsets<'n>) {
+    encode_name(out, start, &r.name, offsets);
     out.extend_from_slice(&r.data.rtype().to_u16().to_be_bytes());
     // The class field is IN, except for OPT where RFC 6891 repurposes it
     // as the requestor's UDP payload size.
@@ -548,13 +599,13 @@ fn encode_record<'n>(out: &mut Vec<u8>, r: &'n Record, offsets: &mut FastMap<&'n
     match &r.data {
         RData::A(a) => out.extend_from_slice(&a.octets()),
         RData::Aaaa(a) => out.extend_from_slice(&a.octets()),
-        RData::Cname(n) | RData::Ns(n) | RData::Ptr(n) => encode_name(out, n, offsets),
+        RData::Cname(n) | RData::Ns(n) | RData::Ptr(n) => encode_name(out, start, n, offsets),
         RData::Mx {
             preference,
             exchange,
         } => {
             out.extend_from_slice(&preference.to_be_bytes());
-            encode_name(out, exchange, offsets);
+            encode_name(out, start, exchange, offsets);
         }
         RData::Txt(strings) => {
             for s in strings {
@@ -572,8 +623,8 @@ fn encode_record<'n>(out: &mut Vec<u8>, r: &'n Record, offsets: &mut FastMap<&'n
             expire,
             minimum,
         } => {
-            encode_name(out, mname, offsets);
-            encode_name(out, rname, offsets);
+            encode_name(out, start, mname, offsets);
+            encode_name(out, start, rname, offsets);
             out.extend_from_slice(&serial.to_be_bytes());
             out.extend_from_slice(&refresh.to_be_bytes());
             out.extend_from_slice(&retry.to_be_bytes());
@@ -889,5 +940,32 @@ mod tests {
             RData::Raw(99, vec![1, 2, 3, 4, 5]),
         ));
         assert_eq!(Message::decode(&m.encode()).unwrap(), m);
+    }
+
+    #[test]
+    fn encode_into_is_position_independent_and_query_writer_matches() {
+        let mut resp = Message::query(9, Question::new(n("www.rfc8925.com"), RType::Aaaa));
+        resp.answers.push(Record::new(
+            n("www.rfc8925.com"),
+            60,
+            RData::Cname(n("rfc8925.com")),
+        ));
+        let mut out = vec![0xaa; 42];
+        resp.encode_into(&mut out);
+        assert_eq!(
+            &out[42..],
+            &resp.encode()[..],
+            "compression offsets are message-relative"
+        );
+
+        for (id, name, rtype) in [
+            (1, "ip6.me", RType::A),
+            (0xbeef, "sc24.supercomputing.org", RType::Aaaa),
+        ] {
+            let q = Question::new(n(name), rtype);
+            let mut out = vec![7, 7];
+            Message::encode_query_into(&mut out, id, &q);
+            assert_eq!(&out[2..], &Message::query(id, q).encode()[..]);
+        }
     }
 }

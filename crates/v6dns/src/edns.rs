@@ -7,9 +7,10 @@
 //! info-codes so a resolver can tell its stub *why* resolution failed
 //! instead of leaving only a timeout to observe.
 
-use crate::codec::{Message, RData, Record};
+use crate::codec::{RData, Record};
 use crate::name::DnsName;
 use crate::server::ResolutionFailure;
+use crate::view::{MessageView, RDataRef};
 
 /// Payload size a modern stub advertises (the DNS-flag-day-2020 value).
 pub const DEFAULT_PAYLOAD_SIZE: u16 = 1232;
@@ -54,19 +55,33 @@ pub fn encode_options(options: &[(u16, Vec<u8>)]) -> Vec<u8> {
 /// length running past the rdata) end the walk; everything parsed up to
 /// that point is returned, mirroring how resolvers skim unknown options.
 pub fn decode_options(data: &[u8]) -> Vec<(u16, &[u8])> {
-    let mut out = Vec::new();
+    options(data).collect()
+}
+
+/// [`decode_options`] as a lazy walk.
+fn options(data: &[u8]) -> impl Iterator<Item = (u16, &[u8])> {
     let mut pos = 0usize;
-    while pos + 4 <= data.len() {
+    std::iter::from_fn(move || {
+        if pos + 4 > data.len() {
+            return None;
+        }
         let code = u16::from_be_bytes([data[pos], data[pos + 1]]);
         let len = u16::from_be_bytes([data[pos + 2], data[pos + 3]]) as usize;
         pos += 4;
         if pos + len > data.len() {
-            break;
+            return None;
         }
-        out.push((code, &data[pos..pos + len]));
+        let body = &data[pos..pos + len];
         pos += len;
-    }
-    out
+        Some((code, body))
+    })
+}
+
+/// The info-code of the first Extended DNS Error in OPT rdata.
+fn ede_code(opt_data: &[u8]) -> Option<u16> {
+    options(opt_data).find_map(|(code, body)| {
+        (code == OPTION_EDE && body.len() >= 2).then(|| u16::from_be_bytes([body[0], body[1]]))
+    })
 }
 
 /// An OPT pseudo-record (owner = root, TTL = extended-flags = 0) carrying
@@ -91,9 +106,9 @@ pub fn ede_option(info_code: u16, extra_text: &str) -> (u16, Vec<u8>) {
 }
 
 /// The OPT record in a message's additional section, if any.
-pub fn find_opt(msg: &Message) -> Option<(u16, &[u8])> {
-    msg.additionals.iter().find_map(|r| match &r.data {
-        RData::Opt { payload_size, data } => Some((*payload_size, data.as_slice())),
+pub fn find_opt<'a>(msg: &MessageView<'a>) -> Option<(u16, &'a [u8])> {
+    msg.additionals().find_map(|r| match r.data {
+        RDataRef::Opt { payload_size, data } => Some((payload_size, data)),
         _ => None,
     })
 }
@@ -101,33 +116,32 @@ pub fn find_opt(msg: &Message) -> Option<(u16, &[u8])> {
 /// The UDP payload size a query advertises: its OPT class field, floored
 /// at the classic 512-octet limit (RFC 6891 §6.2.3), or `None` when the
 /// query carries no OPT at all.
-pub fn advertised_payload_size(msg: &Message) -> Option<usize> {
+pub fn advertised_payload_size(msg: &MessageView<'_>) -> Option<usize> {
     find_opt(msg).map(|(size, _)| usize::from(size).max(CLASSIC_UDP_LIMIT))
 }
 
 /// The first Extended DNS Error in a message: `(info_code, extra_text)`.
-pub fn ede_of(msg: &Message) -> Option<(u16, String)> {
+pub fn ede_of(msg: &MessageView<'_>) -> Option<(u16, String)> {
     let (_, data) = find_opt(msg)?;
-    decode_options(data).into_iter().find_map(|(code, body)| {
-        if code == OPTION_EDE && body.len() >= 2 {
+    options(data).find_map(|(code, body)| {
+        (code == OPTION_EDE && body.len() >= 2).then(|| {
             let info = u16::from_be_bytes([body[0], body[1]]);
-            Some((info, String::from_utf8_lossy(&body[2..]).into_owned()))
-        } else {
-            None
-        }
+            (info, String::from_utf8_lossy(&body[2..]).into_owned())
+        })
     })
 }
 
-/// The classified resolution failure a response advertises via EDE, if any.
-pub fn failure_of(msg: &Message) -> Option<ResolutionFailure> {
-    let (code, _) = ede_of(msg)?;
-    ResolutionFailure::from_ede_code(code)
+/// The classified resolution failure a response advertises via EDE, if
+/// any — read without building the extra text.
+pub fn failure_of(msg: &MessageView<'_>) -> Option<ResolutionFailure> {
+    let (_, data) = find_opt(msg)?;
+    ResolutionFailure::from_ede_code(ede_code(data)?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{Question, RType, Rcode};
+    use crate::codec::{Message, Question, RType, Rcode};
 
     #[test]
     fn options_roundtrip() {
@@ -159,9 +173,9 @@ mod tests {
             )],
         ));
         let bytes = resp.encode();
-        let decoded = Message::decode(&bytes).unwrap();
-        assert_eq!(failure_of(&decoded), Some(ResolutionFailure::NoAaaaGlue));
-        let (code, text) = ede_of(&decoded).unwrap();
+        let view = MessageView::parse(&bytes).unwrap();
+        assert_eq!(failure_of(&view), Some(ResolutionFailure::NoAaaaGlue));
+        let (code, text) = ede_of(&view).unwrap();
         assert_eq!(code, EDE_PRIVATE_BASE);
         assert!(text.contains("no AAAA glue"));
     }
@@ -178,8 +192,9 @@ mod tests {
     #[test]
     fn advertised_size_floors_at_classic_limit() {
         let mut q = Message::query(2, Question::new("x.test".parse().unwrap(), RType::A));
-        assert_eq!(advertised_payload_size(&q), None);
+        let size = |q: &Message| advertised_payload_size(&MessageView::parse(&q.encode()).unwrap());
+        assert_eq!(size(&q), None);
         q.additionals.push(opt_record(100, &[]));
-        assert_eq!(advertised_payload_size(&q), Some(CLASSIC_UDP_LIMIT));
+        assert_eq!(size(&q), Some(CLASSIC_UDP_LIMIT));
     }
 }

@@ -19,6 +19,7 @@ use crate::codec::{
 };
 use crate::name::DnsName;
 use std::net::{Ipv4Addr, Ipv6Addr};
+use v6wire::fasthash::FastMap;
 
 /// Max labels a [`NameRef`] records. Any name within the 255-octet total
 /// bound has at most 127 labels (each costs ≥ 2 octets), so the cap is never
@@ -126,6 +127,24 @@ impl<'a> NameRef<'a> {
         })
     }
 
+    /// The name's wire bytes (labels without the root byte) when its
+    /// labels sit back to back in the message — i.e. no compression
+    /// pointer split them.
+    fn contiguous_wire(&self) -> Option<&'a [u8]> {
+        let labs = usize::from(self.labs);
+        if labs == 0 || labs > MAX_LABELS {
+            return None;
+        }
+        let mut end = self.lpos[0] as usize;
+        for &at in &self.lpos[..labs] {
+            if at as usize != end {
+                return None;
+            }
+            end += 1 + usize::from(self.msg[end]);
+        }
+        Some(&self.msg[self.lpos[0] as usize..end])
+    }
+
     /// Build the owned, lower-cased [`DnsName`] (one allocation per label).
     pub fn to_name(&self) -> DnsName {
         let labels = self
@@ -154,6 +173,36 @@ impl std::fmt::Debug for NameRef<'_> {
             write!(f, "{}", String::from_utf8_lossy(l))?;
         }
         Ok(())
+    }
+}
+
+/// Owned names memoized by their wire form, so a server answering the
+/// same few names cell after cell builds each [`DnsName`] once and then
+/// hands out reference-counted clones. Only names whose labels are
+/// contiguous on the wire are memoized (queries never compress their
+/// question); the memo stops growing at [`NameMemo::CAP`] entries.
+#[derive(Debug, Default)]
+pub struct NameMemo {
+    names: FastMap<Box<[u8]>, DnsName>,
+}
+
+impl NameMemo {
+    /// Most names kept; later new names are built but not remembered.
+    pub const CAP: usize = 1024;
+
+    /// The owned name for `name` — equal to [`NameRef::to_name`].
+    pub fn name(&mut self, name: &NameRef<'_>) -> DnsName {
+        let Some(wire) = name.contiguous_wire() else {
+            return name.to_name();
+        };
+        if let Some(hit) = self.names.get(wire) {
+            return hit.clone();
+        }
+        let owned = name.to_name();
+        if self.names.len() < Self::CAP {
+            self.names.insert(wire.into(), owned.clone());
+        }
+        owned
     }
 }
 
@@ -530,6 +579,32 @@ impl<'a> MessageView<'a> {
         })
     }
 
+    /// [`Message::response_to`] for a query read through a view: the
+    /// response skeleton mirroring its id, opcode, RD flag and questions
+    /// (their names drawn from `names`).
+    pub fn response(&self, rcode: Rcode, names: &mut NameMemo) -> Message {
+        Message {
+            id: self.id,
+            is_response: true,
+            opcode: self.opcode,
+            authoritative: false,
+            truncated: false,
+            recursion_desired: self.recursion_desired,
+            recursion_available: true,
+            rcode,
+            questions: self
+                .questions()
+                .map(|q| Question {
+                    name: names.name(&q.name),
+                    rtype: q.rtype,
+                })
+                .collect(),
+            answers: Vec::new(),
+            authorities: Vec::new(),
+            additionals: Vec::new(),
+        }
+    }
+
     /// Build the owned [`Message`] by re-walking the wire (never calls
     /// [`Message::decode`], so the two stay differentially comparable).
     pub fn to_message(&self) -> Message {
@@ -654,5 +729,29 @@ mod tests {
         let raw: Vec<&[u8]> = q.name.labels().collect();
         assert_eq!(raw, vec![b"IP6".as_slice(), b"Me".as_slice()]);
         assert_eq!(q.name.to_name(), n("ip6.me"));
+    }
+
+    #[test]
+    fn name_memo_hands_out_equal_names() {
+        let q = Message::query(3, Question::new(n("sc24.supercomputing.org"), RType::A));
+        let mut resp = Message::response_to(&q, Rcode::NoError);
+        resp.answers.push(Record::new(
+            n("www.sc24.supercomputing.org"),
+            60,
+            RData::Cname(n("sc24.supercomputing.org")),
+        ));
+        let bytes = resp.encode();
+        let view = MessageView::parse(&bytes).unwrap();
+        let mut memo = NameMemo::default();
+        for _ in 0..2 {
+            // The answer owner is compressed (a label, then a pointer),
+            // the question is contiguous: both must come out equal.
+            for r in view.answers() {
+                assert_eq!(memo.name(&r.name), r.name.to_name());
+            }
+            let q = view.questions().next().unwrap();
+            assert_eq!(memo.name(&q.name), q.name.to_name());
+        }
+        assert_eq!(memo.names.len(), 1, "only the contiguous name is memoized");
     }
 }

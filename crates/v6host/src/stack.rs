@@ -20,28 +20,28 @@ use v6addr::rfc6724::{
 };
 use v6addr::slaac;
 use v6dhcp::client::{ClientEvent, DhcpClient};
-use v6dns::codec::{Message as DnsMessage, Question, RData, RType, Rcode, Record};
+use v6dns::codec::{Message as DnsMessage, Question, RType, Rcode};
 use v6dns::edns;
 use v6dns::name::DnsName;
 use v6dns::server::ResolutionFailure;
 use v6dns::stub::SearchList;
+use v6dns::view::{MessageView, RDataRef};
 use v6sim::engine::{Ctx, Node};
 use v6sim::tcp::TcpEndpoint;
 use v6sim::time::SimTime;
 use v6wire::arp::{ArpOp, ArpPacket};
 use v6wire::clamp;
-use v6wire::ethernet::{EtherType, EthernetFrame};
+use v6wire::emit::{self, Ip};
 use v6wire::fasthash::FastMap;
 use v6wire::icmpv4::Icmpv4Message;
 use v6wire::icmpv6::{all_routers, solicited_node, Icmpv6Message};
-use v6wire::ipv4::{proto, Ipv4Packet};
-use v6wire::ipv6::Ipv6Packet;
 use v6wire::mac::MacAddr;
 use v6wire::ndp::{NdpOption, NeighborAdvertisement, NeighborSolicitation, RouterPreference};
-use v6wire::packet::{build_arp, build_icmpv6};
 use v6wire::tcp::TcpSegment;
-use v6wire::udp::{port, UdpDatagram};
-use v6wire::view::{FrameView, Icmp4View, Icmp6View, Ipv4View, Ipv6View, L3View, L4View};
+use v6wire::udp::port;
+use v6wire::view::{
+    FrameView, Icmp4View, Icmp6View, Ipv4View, Ipv6View, L3View, L4View, RaView, TcpView,
+};
 use v6xlat::clat::Clat;
 
 const PORT_FLOOR: u16 = 49152;
@@ -122,11 +122,16 @@ struct Flow {
     request_sent: bool,
 }
 
+/// One answer section as the resolver phase keeps it: an entry per
+/// record, holding the address of A/AAAA records (`None` for any other
+/// type, which still counts as "an answer arrived").
+type Answers = Vec<Option<IpAddr>>;
+
 #[derive(Debug)]
 enum Phase {
     Resolving {
-        a: Option<Vec<Record>>,
-        aaaa: Option<Vec<Record>>,
+        a: Option<Answers>,
+        aaaa: Option<Answers>,
         /// Retransmission attempt (resolver = attempt % chain length).
         attempt: u32,
     },
@@ -206,8 +211,9 @@ pub struct Host {
     pub vpn: Option<VpnConfig>,
     neigh6: FastMap<Ipv6Addr, MacAddr>,
     arp4: FastMap<Ipv4Addr, MacAddr>,
-    pend6: FastMap<Ipv6Addr, Vec<Ipv6Packet>>,
-    pend4: FastMap<Ipv4Addr, Vec<Ipv4Packet>>,
+    /// Frames held for an unresolved next hop, with their destinations.
+    pend6: FastMap<Ipv6Addr, Vec<(Ipv6Addr, Vec<u8>)>>,
+    pend4: FastMap<Ipv4Addr, Vec<(Ipv4Addr, Vec<u8>)>>,
     dns_wait: FastMap<u16, DnsWait>,
     /// RFC 2308 stub negative cache: (name, rtype) → absolute expiry
     /// (sim-seconds), TTL = min(SOA TTL, SOA.minimum) via [`clamp`].
@@ -357,12 +363,23 @@ impl Host {
         if v6_class(dst).scope() == v6addr::class::Scope::LinkLocal {
             return Some(self.link_local);
         }
-        let cands: Vec<CandidateSource> = self
-            .v6_addrs
-            .iter()
-            .map(|(a, p)| CandidateSource::plain(*a, 1, p.len()))
-            .collect();
-        select_source(dst, &cands, 1, &self.policy)
+        // Hosts carry a handful of addresses: rank them on the stack.
+        let mut buf = [CandidateSource::plain(Ipv6Addr::UNSPECIFIED, 1, 0); 8];
+        let cands: Vec<CandidateSource>;
+        let cands = if self.v6_addrs.len() <= buf.len() {
+            for (slot, (a, p)) in buf.iter_mut().zip(&self.v6_addrs) {
+                *slot = CandidateSource::plain(*a, 1, p.len());
+            }
+            &buf[..self.v6_addrs.len()]
+        } else {
+            cands = self
+                .v6_addrs
+                .iter()
+                .map(|(a, p)| CandidateSource::plain(*a, 1, p.len()))
+                .collect();
+            &cands[..]
+        };
+        select_source(dst, cands, 1, &self.policy)
             .map(|c| c.addr)
             .or(Some(self.link_local))
     }
@@ -382,16 +399,14 @@ impl Host {
         self.next_dns_id
     }
 
-    fn send_v6(&mut self, pkt: Ipv6Packet, ctx: &mut Ctx) {
-        let dst = pkt.dst;
+    /// Route a frame emitted with a placeholder destination MAC towards
+    /// `dst`: multicast maps straight to its group MAC; unicast goes to
+    /// the on-link neighbour or the default router, and an unresolved next
+    /// hop holds the frame while a neighbour solicitation goes out.
+    fn send_v6(&mut self, dst: Ipv6Addr, mut frame: Vec<u8>, ctx: &mut Ctx) {
         if dst.is_multicast() {
-            let frame = EthernetFrame::new(
-                MacAddr::for_ipv6_multicast(dst),
-                self.mac,
-                EtherType::Ipv6,
-                pkt.encode(),
-            );
-            ctx.send(0, frame.encode());
+            emit::set_dst_mac(&mut frame, MacAddr::for_ipv6_multicast(dst));
+            ctx.send(0, frame);
             return;
         }
         let on_link = v6_class(dst).scope() == v6addr::class::Scope::LinkLocal
@@ -405,86 +420,71 @@ impl Host {
             }
         };
         if let Some(&mac) = self.neigh6.get(&next_hop) {
-            let frame = EthernetFrame::new(mac, self.mac, EtherType::Ipv6, pkt.encode());
-            ctx.send(0, frame.encode());
+            emit::set_dst_mac(&mut frame, mac);
+            ctx.send(0, frame);
         } else {
-            self.pend6.entry(next_hop).or_default().push(pkt);
+            self.pend6.entry(next_hop).or_default().push((dst, frame));
             let src = self.pick_v6_source(next_hop).unwrap_or(self.link_local);
             let ns = Icmpv6Message::NeighborSolicitation(NeighborSolicitation {
                 target: next_hop,
                 options: vec![NdpOption::SourceLinkLayer(self.mac)],
             });
             let group = solicited_node(next_hop);
-            let frame = build_icmpv6(
-                self.mac,
+            let frame = emit::icmpv6(
                 MacAddr::for_ipv6_multicast(group),
-                src,
-                group,
+                self.mac,
+                Ip::v6(src, group),
                 &ns,
             );
             ctx.send(0, frame);
         }
     }
 
-    fn send_v4(&mut self, pkt: Ipv4Packet, ctx: &mut Ctx) {
-        let Some(v4) = self.v4.clone() else { return };
-        let dst = pkt.dst;
+    /// [`Host::send_v6`] for IPv4: broadcast, on-link or via the DHCP
+    /// router, with ARP holding frames for an unresolved next hop.
+    fn send_v4(&mut self, dst: Ipv4Addr, mut frame: Vec<u8>, ctx: &mut Ctx) {
+        let Some(v4) = &self.v4 else { return };
+        let (addr, on_link, router) = (v4.addr, v4.prefix.contains(dst), v4.router);
         if dst == Ipv4Addr::BROADCAST {
-            let frame =
-                EthernetFrame::new(MacAddr::BROADCAST, self.mac, EtherType::Ipv4, pkt.encode());
-            ctx.send(0, frame.encode());
+            emit::set_dst_mac(&mut frame, MacAddr::BROADCAST);
+            ctx.send(0, frame);
             return;
         }
-        let next_hop = if v4.prefix.contains(dst) {
+        let next_hop = if on_link {
             dst
         } else {
-            match v4.router {
+            match router {
                 Some(r) => r,
                 None => return,
             }
         };
         if let Some(&mac) = self.arp4.get(&next_hop) {
-            let frame = EthernetFrame::new(mac, self.mac, EtherType::Ipv4, pkt.encode());
-            ctx.send(0, frame.encode());
+            emit::set_dst_mac(&mut frame, mac);
+            ctx.send(0, frame);
         } else {
-            self.pend4.entry(next_hop).or_default().push(pkt);
-            let req = ArpPacket::request(self.mac, v4.addr, next_hop);
-            ctx.send(0, build_arp(self.mac, MacAddr::BROADCAST, &req));
+            self.pend4.entry(next_hop).or_default().push((dst, frame));
+            let req = ArpPacket::request(self.mac, addr, next_hop);
+            ctx.send(0, emit::arp(MacAddr::BROADCAST, self.mac, &req));
         }
     }
 
-    /// Send a TCP segment for a flow.
+    /// Send a TCP segment for a flow. CLAT flows are emitted straight
+    /// under the translated IPv6 header.
     fn send_segment(&mut self, key: FlowKey, seg: TcpSegment, ctx: &mut Ctx) {
         match key {
             FlowKey::V6 { local, remote } => {
-                let pkt = Ipv6Packet::new(
-                    local.0,
-                    remote.0,
-                    proto::TCP,
-                    seg.encode_v6(local.0, remote.0),
-                );
-                self.send_v6(pkt, ctx);
+                let frame = emit::tcp(MacAddr::ZERO, self.mac, Ip::v6(local.0, remote.0), &seg);
+                self.send_v6(remote.0, frame, ctx);
             }
             FlowKey::V4 { local, remote } => {
-                let pkt = Ipv4Packet::new(
-                    local.0,
-                    remote.0,
-                    proto::TCP,
-                    seg.encode_v4(local.0, remote.0),
-                );
-                self.send_v4(pkt, ctx);
+                let frame = emit::tcp(MacAddr::ZERO, self.mac, Ip::v4(local.0, remote.0), &seg);
+                self.send_v4(remote.0, frame, ctx);
             }
-            FlowKey::ClatV4 { local, remote } => {
-                let v4pkt = Ipv4Packet::new(
-                    local.0,
-                    remote.0,
-                    proto::TCP,
-                    seg.encode_v4(local.0, remote.0),
-                );
+            FlowKey::ClatV4 { remote, .. } => {
                 if let Some(clat) = &self.clat {
-                    if let Ok(v6pkt) = clat.v4_out(&v4pkt) {
-                        self.send_v6(v6pkt, ctx);
-                    }
+                    let dst = clat.plat_prefix.embed_unchecked(remote.0);
+                    let frame = emit::tcp(MacAddr::ZERO, self.mac, clat.out_header(remote.0), &seg);
+                    self.send_v6(dst, frame, ctx);
                 }
             }
         }
@@ -498,11 +498,10 @@ impl Host {
         let rs = Icmpv6Message::RouterSolicitation(v6wire::ndp::RouterSolicitation {
             options: vec![NdpOption::SourceLinkLayer(self.mac)],
         });
-        let frame = build_icmpv6(
-            self.mac,
+        let frame = emit::icmpv6(
             MacAddr::for_ipv6_multicast(all_routers()),
-            self.link_local,
-            all_routers(),
+            self.mac,
+            Ip::v6(self.link_local, all_routers()),
             &rs,
         );
         ctx.send(0, frame);
@@ -518,15 +517,7 @@ impl Host {
             self.dhcp.retransmit(now)
         };
         if let ClientEvent::Send(msg) = ev {
-            let dgram = UdpDatagram::new(port::DHCP_CLIENT, port::DHCP_SERVER, msg.encode());
-            let frame = v6wire::packet::build_udp_v4(
-                self.mac,
-                MacAddr::BROADCAST,
-                Ipv4Addr::UNSPECIFIED,
-                Ipv4Addr::BROADCAST,
-                &dgram,
-            );
-            ctx.send(0, frame);
+            ctx.send(0, self.dhcp_frame(&msg));
             self.dhcp_tries += 1;
             if self.dhcp_tries < DHCP_MAX_TRIES {
                 // 4 s, 8 s, 16 s, ... ±1 s of deterministic jitter.
@@ -539,7 +530,20 @@ impl Host {
         }
     }
 
-    fn on_ra(&mut self, src_ll: Ipv6Addr, src_mac: MacAddr, ra: &v6wire::ndp::RouterAdvertisement) {
+    /// A DHCP client message, broadcast from the unspecified address.
+    fn dhcp_frame(&self, msg: &v6dhcp::codec::DhcpMessage) -> Vec<u8> {
+        emit::udp_with(
+            MacAddr::BROADCAST,
+            self.mac,
+            Ip::v4(Ipv4Addr::UNSPECIFIED, Ipv4Addr::BROADCAST),
+            port::DHCP_CLIENT,
+            port::DHCP_SERVER,
+            300,
+            |out| msg.encode_into(out),
+        )
+    }
+
+    fn on_ra(&mut self, src_ll: Ipv6Addr, src_mac: MacAddr, ra: &RaView<'_>) {
         if !self.profile.ipv6_enabled {
             return;
         }
@@ -557,8 +561,24 @@ impl Host {
                 }),
             }
         }
-        for opt in &ra.options {
-            match opt {
+        for view in ra.options.iter() {
+            // RDNSS and DNSSL are read in place: their owned forms
+            // allocate lists and strings on every beacon.
+            if view.ty == 25 {
+                for s in view.rdnss_servers() {
+                    if !self.rdnss.contains(&s) {
+                        self.rdnss.push(s);
+                    }
+                }
+                continue;
+            }
+            if view.ty == 31 {
+                for wire in view.dnssl_names() {
+                    self.add_search_domain(wire);
+                }
+                continue;
+            }
+            match view.to_option() {
                 NdpOption::PrefixInformation {
                     prefix,
                     prefix_len,
@@ -566,13 +586,13 @@ impl Host {
                     autonomous,
                     ..
                 } => {
-                    let Ok(p) = Ipv6Prefix::new(*prefix, *prefix_len) else {
+                    let Ok(p) = Ipv6Prefix::new(prefix, prefix_len) else {
                         continue;
                     };
-                    if *on_link && !self.onlink6.contains(&p) {
+                    if on_link && !self.onlink6.contains(&p) {
                         self.onlink6.push(p);
                     }
-                    if *autonomous && *prefix_len == 64 {
+                    if autonomous && prefix_len == 64 {
                         let addr = match self.profile.iid_scheme {
                             IidScheme::Eui64 => slaac::eui64_address(p, self.mac.0),
                             IidScheme::StablePrivate => {
@@ -585,31 +605,49 @@ impl Host {
                         }
                     }
                 }
-                NdpOption::Rdnss { servers, .. } => {
-                    for s in servers {
-                        if !self.rdnss.contains(s) {
-                            self.rdnss.push(*s);
-                        }
-                    }
-                }
-                NdpOption::Dnssl { domains, .. } => {
-                    for d in domains {
-                        if let Ok(n) = d.parse::<DnsName>() {
-                            if !self.search_domains.contains(&n) {
-                                self.search_domains.push(n);
-                            }
-                        }
-                    }
-                }
                 NdpOption::Pref64 {
                     prefix, prefix_len, ..
                 } => {
-                    if let Ok(p) = Ipv6Prefix::new(*prefix, *prefix_len) {
+                    if let Ok(p) = Ipv6Prefix::new(prefix, prefix_len) {
                         self.pref64 = Some(p);
                         self.maybe_activate_clat();
                     }
                 }
                 _ => {}
+            }
+        }
+    }
+
+    /// Adopt a DNSSL domain given as its wire label run. A domain already
+    /// in the search list is recognized without building a name; a new
+    /// one is spelled and parsed exactly as the owned option would.
+    fn add_search_domain(&mut self, wire: &[u8]) {
+        let labels = || {
+            let mut pos = 0;
+            std::iter::from_fn(move || {
+                let len = usize::from(*wire.get(pos)?);
+                let label = &wire[pos + 1..pos + 1 + len];
+                pos += 1 + len;
+                Some(label)
+            })
+        };
+        let known = self.search_domains.iter().any(|n| {
+            n.label_count() == labels().count()
+                && n.labels()
+                    .iter()
+                    .zip(labels())
+                    .all(|(have, raw)| have.as_bytes().eq_ignore_ascii_case(raw))
+        });
+        if known {
+            return;
+        }
+        let spelled = labels()
+            .map(String::from_utf8_lossy)
+            .collect::<Vec<_>>()
+            .join(".");
+        if let Ok(n) = spelled.parse::<DnsName>() {
+            if !self.search_domains.contains(&n) {
+                self.search_domains.push(n);
             }
         }
     }
@@ -634,15 +672,7 @@ impl Host {
         let now = ctx.now.as_secs();
         match self.dhcp.receive(msg, now) {
             ClientEvent::Send(reply) => {
-                let dgram = UdpDatagram::new(port::DHCP_CLIENT, port::DHCP_SERVER, reply.encode());
-                let frame = v6wire::packet::build_udp_v4(
-                    self.mac,
-                    MacAddr::BROADCAST,
-                    Ipv4Addr::UNSPECIFIED,
-                    Ipv4Addr::BROADCAST,
-                    &dgram,
-                );
-                ctx.send(0, frame);
+                ctx.send(0, self.dhcp_frame(&reply));
             }
             ClientEvent::Configured {
                 ip,
@@ -689,23 +719,21 @@ impl Host {
         if let Some(o) = self.dns_override {
             return vec![o];
         }
-        let v6: Vec<IpAddr> = if self.profile.honors_rdnss && self.profile.ipv6_enabled {
-            self.rdnss.iter().map(|a| IpAddr::V6(*a)).collect()
+        let v6: &[Ipv6Addr] = if self.profile.honors_rdnss && self.profile.ipv6_enabled {
+            &self.rdnss
         } else {
-            Vec::new()
+            &[]
         };
-        let v4: Vec<IpAddr> = if self.v4_active() {
-            self.v4
-                .as_ref()
-                .map(|c| c.dns.iter().map(|a| IpAddr::V4(*a)).collect())
-                .unwrap_or_default()
-        } else {
-            Vec::new()
+        let v4: &[Ipv4Addr] = match &self.v4 {
+            Some(c) if self.v4_active() => &c.dns,
+            _ => &[],
         };
+        let v6 = v6.iter().map(|a| IpAddr::V6(*a));
+        let v4 = v4.iter().map(|a| IpAddr::V4(*a));
         match self.profile.resolver_preference {
-            ResolverPreference::RdnssFirst => v6.into_iter().chain(v4).collect(),
-            ResolverPreference::Dhcpv4First => v4.into_iter().chain(v6).collect(),
-            ResolverPreference::V4Only => v4,
+            ResolverPreference::RdnssFirst => v6.chain(v4).collect(),
+            ResolverPreference::Dhcpv4First => v4.chain(v6).collect(),
+            ResolverPreference::V4Only => v4.collect(),
         }
     }
 
@@ -741,21 +769,24 @@ impl Host {
                 resolver,
             },
         );
-        let query = DnsMessage::query(id, Question::new(name.clone(), rtype));
-        let dgram = UdpDatagram::new(sport, port::DNS, query.encode());
+        let question = Question::new(name.clone(), rtype);
+        let frame = |ip| {
+            emit::udp_with(MacAddr::ZERO, self.mac, ip, sport, port::DNS, 64, |out| {
+                DnsMessage::encode_query_into(out, id, &question)
+            })
+        };
         match resolver {
             IpAddr::V6(dst) => {
                 self.dns_via_v6 += 1;
                 let src = self.pick_v6_source(dst).unwrap_or(self.link_local);
-                let pkt = Ipv6Packet::new(src, dst, proto::UDP, dgram.encode_v6(src, dst));
-                self.send_v6(pkt, ctx);
+                let frame = frame(Ip::v6(src, dst));
+                self.send_v6(dst, frame, ctx);
             }
             IpAddr::V4(dst) => {
                 self.dns_via_v4 += 1;
                 let Some(v4) = &self.v4 else { return true };
-                let src = v4.addr;
-                let pkt = Ipv4Packet::new(src, dst, proto::UDP, dgram.encode_v4(src, dst));
-                self.send_v4(pkt, ctx);
+                let frame = frame(Ip::v4(v4.addr, dst));
+                self.send_v4(dst, frame, ctx);
             }
         }
         true
@@ -937,7 +968,7 @@ impl Host {
         ctx.timer_in(timeout, token(TK_DNS, id, u64::from(attempt)));
     }
 
-    fn on_dns_response(&mut self, msg: &DnsMessage, ctx: &mut Ctx) {
+    fn on_dns_response(&mut self, msg: &MessageView<'_>, ctx: &mut Ctx) {
         let Some(wait) = self.dns_wait.remove(&msg.id) else {
             return;
         };
@@ -958,18 +989,19 @@ impl Host {
         }
         // RFC 2308: a name error / no-data answer carrying an SOA is
         // cacheable for min(SOA TTL, SOA.minimum).
+        let no_answers = msg.answers().next().is_none();
         if msg.rcode == Rcode::NxDomain
-            || (msg.rcode == Rcode::NoError && msg.answers.is_empty() && !msg.truncated)
+            || (msg.rcode == Rcode::NoError && no_answers && !msg.truncated)
         {
-            let soa = msg.authorities.iter().find_map(|r| match r.data {
-                RData::Soa { minimum, .. } => Some((r.ttl, minimum)),
+            let soa = msg.authorities().find_map(|r| match r.data {
+                RDataRef::Soa { minimum, .. } => Some((r.ttl, minimum)),
                 _ => None,
             });
-            if let (Some(q), Some((soa_ttl, minimum))) = (msg.questions.first(), soa) {
+            if let (Some(q), Some((soa_ttl, minimum))) = (msg.questions().next(), soa) {
                 let ttl = clamp::negative_ttl(soa_ttl, minimum);
                 if ttl > 0 {
                     self.neg_cache.insert(
-                        (q.name.clone(), q.rtype),
+                        (q.name.to_name(), q.rtype),
                         clamp::expiry(ctx.now.as_secs(), ttl),
                     );
                 }
@@ -981,8 +1013,14 @@ impl Host {
         };
         match &mut state.phase {
             Phase::Resolving { a, aaaa, .. } => {
-                let records: Vec<Record> = if msg.rcode == Rcode::NoError {
-                    msg.answers.clone()
+                let records: Answers = if msg.rcode == Rcode::NoError {
+                    msg.answers()
+                        .map(|r| match r.data {
+                            RDataRef::A(x) => Some(IpAddr::V4(x)),
+                            RDataRef::Aaaa(x) => Some(IpAddr::V6(x)),
+                            _ => None,
+                        })
+                        .collect()
                 } else {
                     Vec::new()
                 };
@@ -1000,9 +1038,9 @@ impl Host {
                 name_idx,
                 attempt: _,
             } => {
-                if msg.rcode == Rcode::NoError && !msg.answers.is_empty() {
+                if msg.rcode == Rcode::NoError && !no_answers {
                     let answered = candidates[*name_idx].clone();
-                    let records = msg.answers.clone();
+                    let records = msg.answers().map(|r| r.to_record()).collect();
                     self.finish(
                         id,
                         TaskOutcome::DnsAnswer {
@@ -1070,11 +1108,11 @@ impl Host {
                 resolver,
             },
         );
-        let query = DnsMessage::query(id, Question::new(name, rtype));
-        let wire = query.encode();
-        let mut framed = Vec::with_capacity(wire.len() + 2);
-        framed.extend_from_slice(&(wire.len() as u16).to_be_bytes());
-        framed.extend_from_slice(&wire);
+        // Two-octet length prefix, then the query (RFC 1035 §4.2.2).
+        let mut framed = vec![0, 0];
+        DnsMessage::encode_query_into(&mut framed, id, &Question::new(name, rtype));
+        let len = (framed.len() - 2) as u16;
+        framed[..2].copy_from_slice(&len.to_be_bytes());
         let iss = (task as u32) << 8 | u32::from(id) & 0xff;
         let (ep, syn) = TcpEndpoint::connect(lport, port::DNS, iss);
         self.dns_tcp.insert(
@@ -1088,12 +1126,11 @@ impl Host {
         self.send_segment(key, syn, ctx);
     }
 
-    fn on_dns_tcp(&mut self, key: FlowKey, seg: TcpSegment, ctx: &mut Ctx) {
+    fn on_dns_tcp(&mut self, key: FlowKey, seg: &TcpView<'_>, ctx: &mut Ctx) {
         let Some(flow) = self.dns_tcp.get_mut(&key) else {
             return;
         };
-        let replies = flow.ep.on_segment(&seg);
-        for r in replies {
+        if let Some(r) = flow.ep.on_segment(*seg) {
             self.send_segment(key, r, ctx);
         }
         self.drive_dns_tcp(key, ctx);
@@ -1114,7 +1151,7 @@ impl Host {
         if flow.ep.received.len() >= 2 {
             let need = u16::from_be_bytes([flow.ep.received[0], flow.ep.received[1]]) as usize;
             if flow.ep.received.len() >= 2 + need {
-                answer = DnsMessage::decode(&flow.ep.received[2..2 + need]).ok();
+                answer = Some(flow.ep.received[2..2 + need].to_vec());
                 out.extend(flow.ep.close());
             }
         }
@@ -1122,13 +1159,17 @@ impl Host {
         for s in out {
             self.send_segment(key, s, ctx);
         }
-        if let Some(msg) = answer {
-            self.dns_tcp.remove(&key);
-            // Re-enter the one response path; a TCP answer is never
-            // truncated, so this cannot recurse back here.
-            self.on_dns_response(&msg, ctx);
-        } else if closed {
-            self.dns_tcp.remove(&key);
+        match answer.as_deref().map(MessageView::parse) {
+            Some(Ok(msg)) => {
+                self.dns_tcp.remove(&key);
+                // Re-enter the one response path; a TCP answer is never
+                // truncated, so this cannot recurse back here.
+                self.on_dns_response(&msg, ctx);
+            }
+            _ if closed => {
+                self.dns_tcp.remove(&key);
+            }
+            _ => {}
         }
     }
 
@@ -1142,25 +1183,29 @@ impl Host {
     }
 
     fn proceed_after_resolution(&mut self, id: u64, ctx: &mut Ctx) {
-        let (a, aaaa, task) = match self.tasks.get(&id) {
+        let (dests, browse) = match self.tasks.get(&id) {
             Some(TaskState {
                 phase: Phase::Resolving { a, aaaa, .. },
                 task,
-            }) => (
-                a.clone().unwrap_or_default(),
-                aaaa.clone().unwrap_or_default(),
-                task.clone(),
-            ),
+            }) => {
+                let dests: Vec<DestCandidate> = aaaa
+                    .iter()
+                    .chain(a.iter())
+                    .flatten()
+                    .flatten()
+                    .map(|addr| match *addr {
+                        IpAddr::V6(x) => DestCandidate::plain(x),
+                        IpAddr::V4(x) => DestCandidate::v4(x),
+                    })
+                    .collect();
+                match task {
+                    AppTask::Browse { .. } => (dests, true),
+                    AppTask::Ping { .. } => (dests, false),
+                    _ => return,
+                }
+            }
             _ => return,
         };
-        let mut dests: Vec<DestCandidate> = Vec::new();
-        for r in aaaa.iter().chain(a.iter()) {
-            match r.data {
-                RData::Aaaa(addr) => dests.push(DestCandidate::plain(addr)),
-                RData::A(addr) => dests.push(DestCandidate::v4(addr)),
-                _ => {}
-            }
-        }
         if dests.is_empty() {
             self.finish(id, TaskOutcome::DnsFailed);
             return;
@@ -1180,26 +1225,22 @@ impl Host {
             self.finish(id, TaskOutcome::Unreachable);
             return;
         }
-        match task {
-            AppTask::Browse { .. } => {
-                if let Some(state) = self.tasks.get_mut(&id) {
-                    state.phase = Phase::Connecting {
-                        candidates: usable.clone(),
-                        launched: 0,
-                    };
-                }
-                self.launch_next(id, ctx);
+        if browse {
+            if let Some(state) = self.tasks.get_mut(&id) {
+                state.phase = Phase::Connecting {
+                    candidates: usable,
+                    launched: 0,
+                };
             }
-            AppTask::Ping { .. } => {
-                let dst = usable[0];
-                let ident = (id as u16) | 0x4000;
-                if let Some(state) = self.tasks.get_mut(&id) {
-                    state.phase = Phase::AwaitingPing { ident };
-                }
-                self.send_ping(ident, dst, ctx);
-                ctx.timer_in(ATTEMPT_TIMEOUT, token(TK_PING, id, 0));
+            self.launch_next(id, ctx);
+        } else {
+            let dst = usable[0];
+            let ident = (id as u16) | 0x4000;
+            if let Some(state) = self.tasks.get_mut(&id) {
+                state.phase = Phase::AwaitingPing { ident };
             }
-            _ => {}
+            self.send_ping(ident, dst, ctx);
+            ctx.timer_in(ATTEMPT_TIMEOUT, token(TK_PING, id, 0));
         }
     }
 
@@ -1212,8 +1253,8 @@ impl Host {
                     seq: 1,
                     payload: vec![0x61; 32],
                 };
-                let pkt = Ipv6Packet::new(src, d, proto::ICMPV6, msg.encode(src, d));
-                self.send_v6(pkt, ctx);
+                let frame = emit::icmpv6(MacAddr::ZERO, self.mac, Ip::v6(src, d), &msg);
+                self.send_v6(d, frame, ctx);
             }
             IpAddr::V4(d) => {
                 let Some(v4) = &self.v4 else { return };
@@ -1222,8 +1263,8 @@ impl Host {
                     seq: 1,
                     payload: vec![0x61; 32],
                 };
-                let pkt = Ipv4Packet::new(v4.addr, d, proto::ICMP, msg.encode());
-                self.send_v4(pkt, ctx);
+                let frame = emit::icmpv4(MacAddr::ZERO, self.mac, Ip::v4(v4.addr, d), &msg);
+                self.send_v4(d, frame, ctx);
             }
         }
     }
@@ -1439,8 +1480,7 @@ impl Host {
         let flow = self.flows.get_mut(&key).expect("present");
         if flow.ep.peer_closed && !flow.ep.received.is_empty() {
             let raw = String::from_utf8_lossy(&flow.ep.received).into_owned();
-            let fins = flow.ep.close();
-            if let Some(fin) = fins.into_iter().next() {
+            if let Some(fin) = flow.ep.close() {
                 self.send_segment(key, fin, ctx);
             }
             let peer = match key {
@@ -1467,20 +1507,23 @@ impl Host {
         if !self.profile.ipv6_enabled {
             return;
         }
-        // CLAT return traffic.
-        if let Some(clat) = self.clat.clone() {
-            if ip.dst == clat.clat_v6 {
-                // NDP for the CLAT address is handled below like any other
-                // local address; data packets are translated back to v4.
-                if !matches!(
-                    parsed.l4,
-                    L4View::Icmp6(Icmp6View::NeighborSolicitation { .. })
-                ) {
-                    if let Ok(v4pkt) = clat.v6_in(&ip.to_packet()) {
-                        self.handle_clat_v4(&v4pkt, ctx);
-                    }
-                    return;
+        // CLAT return traffic. NDP for the CLAT address is handled below
+        // like any other local address; data packets are read as their
+        // IPv4 translation (same ports, IPv4 source from the PLAT prefix).
+        let clat_in = self
+            .clat
+            .as_ref()
+            .filter(|c| ip.dst == c.clat_v6)
+            .map(|c| (c.in_source(ip), c.host_v4));
+        if let Some((src4, host_v4)) = clat_in {
+            if !matches!(
+                parsed.l4,
+                L4View::Icmp6(Icmp6View::NeighborSolicitation { .. })
+            ) {
+                if let Ok(src4) = src4 {
+                    self.handle_clat_in(src4, host_v4, &parsed.l4, ctx);
                 }
+                return;
             }
         }
         let unicast_to_us = self.my_v6_addr(ip.dst);
@@ -1490,7 +1533,7 @@ impl Host {
         }
         match &parsed.l4 {
             L4View::Icmp6(Icmp6View::RouterAdvertisement(ra)) => {
-                self.on_ra(ip.src, parsed.eth.src, &ra.to_ra());
+                self.on_ra(ip.src, parsed.eth.src, ra);
             }
             L4View::Icmp6(Icmp6View::NeighborSolicitation { target, .. })
                 if self.my_v6_addr(*target) =>
@@ -1503,7 +1546,7 @@ impl Host {
                     target: *target,
                     options: vec![NdpOption::TargetLinkLayer(self.mac)],
                 });
-                let frame = build_icmpv6(self.mac, parsed.eth.src, *target, ip.src, &na);
+                let frame = emit::icmpv6(parsed.eth.src, self.mac, Ip::v6(*target, ip.src), &na);
                 ctx.send(0, frame);
             }
             L4View::Icmp6(Icmp6View::NeighborAdvertisement {
@@ -1518,8 +1561,8 @@ impl Host {
                     .unwrap_or(parsed.eth.src);
                 self.neigh6.insert(*target, mac);
                 if let Some(pending) = self.pend6.remove(target) {
-                    for pkt in pending {
-                        self.send_v6(pkt, ctx);
+                    for (dst, frame) in pending {
+                        self.send_v6(dst, frame, ctx);
                     }
                 }
             }
@@ -1533,14 +1576,14 @@ impl Host {
                     seq: *seq,
                     payload: payload.to_vec(),
                 };
-                let frame = build_icmpv6(self.mac, parsed.eth.src, ip.dst, ip.src, &reply);
+                let frame = emit::icmpv6(parsed.eth.src, self.mac, Ip::v6(ip.dst, ip.src), &reply);
                 ctx.send(0, frame);
             }
             L4View::Icmp6(Icmp6View::EchoReply { ident, .. }) if unicast_to_us => {
                 self.on_ping_reply(*ident, IpAddr::V6(ip.src));
             }
             L4View::Udp(udp) if unicast_to_us && udp.src_port == port::DNS => {
-                if let Ok(msg) = DnsMessage::decode(udp.payload) {
+                if let Ok(msg) = MessageView::parse(udp.payload) {
                     self.on_dns_response(&msg, ctx);
                 }
             }
@@ -1549,13 +1592,13 @@ impl Host {
                     local: (ip.dst, seg.dst_port),
                     remote: (ip.src, seg.src_port),
                 };
-                self.on_tcp(key, seg.to_segment(), ctx);
+                self.on_tcp(key, seg, ctx);
             }
             _ => {}
         }
     }
 
-    fn on_tcp(&mut self, key: FlowKey, seg: TcpSegment, ctx: &mut Ctx) {
+    fn on_tcp(&mut self, key: FlowKey, seg: &TcpView<'_>, ctx: &mut Ctx) {
         if self.dns_tcp.contains_key(&key) {
             self.on_dns_tcp(key, seg, ctx);
             return;
@@ -1563,8 +1606,7 @@ impl Host {
         let Some(flow) = self.flows.get_mut(&key) else {
             return;
         };
-        let replies = flow.ep.on_segment(&seg);
-        for r in replies {
+        if let Some(r) = flow.ep.on_segment(*seg) {
             self.send_segment(key, r, ctx);
         }
         self.drive_flow(key, ctx);
@@ -1584,23 +1626,25 @@ impl Host {
         }
     }
 
-    fn handle_clat_v4(&mut self, pkt: &Ipv4Packet, ctx: &mut Ctx) {
-        match pkt.protocol {
-            proto::TCP => {
-                if let Ok(seg) = TcpSegment::decode_v4(&pkt.payload, pkt.src, pkt.dst) {
-                    let key = FlowKey::ClatV4 {
-                        local: (pkt.dst, seg.dst_port),
-                        remote: (pkt.src, seg.src_port),
-                    };
-                    self.on_tcp(key, seg, ctx);
-                }
+    /// Deliver CLAT return traffic from IPv4 `src4` to the local IPv4
+    /// applications: TCP segments to their flows, echo replies to pings.
+    fn handle_clat_in(
+        &mut self,
+        src4: Ipv4Addr,
+        host_v4: Ipv4Addr,
+        l4: &L4View<'_>,
+        ctx: &mut Ctx,
+    ) {
+        match l4 {
+            L4View::Tcp(seg) => {
+                let key = FlowKey::ClatV4 {
+                    local: (host_v4, seg.dst_port),
+                    remote: (src4, seg.src_port),
+                };
+                self.on_tcp(key, seg, ctx);
             }
-            proto::ICMP => {
-                if let Ok(Icmpv4Message::EchoReply { ident, .. }) =
-                    Icmpv4Message::decode(&pkt.payload)
-                {
-                    self.on_ping_reply(ident, IpAddr::V4(pkt.src));
-                }
+            L4View::Icmp6(Icmp6View::EchoReply { ident, .. }) => {
+                self.on_ping_reply(*ident, IpAddr::V4(src4));
             }
             _ => {}
         }
@@ -1629,7 +1673,7 @@ impl Host {
         }
         match &parsed.l4 {
             L4View::Udp(udp) if udp.src_port == port::DNS => {
-                if let Ok(msg) = DnsMessage::decode(udp.payload) {
+                if let Ok(msg) = MessageView::parse(udp.payload) {
                     self.on_dns_response(&msg, ctx);
                 }
             }
@@ -1638,7 +1682,7 @@ impl Host {
                     local: (ip.dst, seg.dst_port),
                     remote: (ip.src, seg.src_port),
                 };
-                self.on_tcp(key, seg.to_segment(), ctx);
+                self.on_tcp(key, seg, ctx);
             }
             L4View::Icmp4(Icmp4View::EchoRequest {
                 ident,
@@ -1650,8 +1694,7 @@ impl Host {
                     seq: *seq,
                     payload: payload.to_vec(),
                 };
-                let frame =
-                    v6wire::packet::build_icmpv4(self.mac, parsed.eth.src, my, ip.src, &reply);
+                let frame = emit::icmpv4(parsed.eth.src, self.mac, Ip::v4(my, ip.src), &reply);
                 ctx.send(0, frame);
             }
             L4View::Icmp4(Icmp4View::EchoReply { ident, .. }) => {
@@ -1876,15 +1919,15 @@ impl Node for Host {
                 }
                 self.arp4.insert(arp.sender_ip, arp.sender_mac);
                 if let Some(pending) = self.pend4.remove(&arp.sender_ip) {
-                    for pkt in pending {
-                        self.send_v4(pkt, ctx);
+                    for (dst, frame) in pending {
+                        self.send_v4(dst, frame, ctx);
                     }
                 }
                 if arp.op == ArpOp::Request {
                     if let Some(my) = self.v4.as_ref().map(|c| c.addr) {
                         if arp.target_ip == my {
                             let reply = ArpPacket::reply_to(arp, self.mac);
-                            ctx.send(0, build_arp(self.mac, arp.sender_mac, &reply));
+                            ctx.send(0, emit::arp(arp.sender_mac, self.mac, &reply));
                         }
                     }
                 }
@@ -1934,6 +1977,7 @@ mod tests {
     use super::*;
     use crate::profiles::OsProfile;
     use v6dhcp::server::{DhcpServer, ServerConfig};
+    use v6dns::codec::RData;
     use v6dns::dns64::Dns64;
     use v6dns::poison::PoisonedResolver;
     use v6dns::server::{GlobalDns, Resolver};
@@ -1941,7 +1985,8 @@ mod tests {
     use v6sim::engine::Network;
     use v6sim::gateway::{FiveGGateway, LAN, WAN};
     use v6sim::l2::Switch;
-    use v6wire::packet::{ParsedFrame, L3, L4};
+    use v6wire::packet::{build_arp, build_icmpv6, ParsedFrame, L3, L4};
+    use v6wire::udp::UdpDatagram;
 
     /// A Raspberry-Pi-like test node: answers NDP, serves DNS (over v6 and
     /// v4, UDP and TCP with 512-byte UDP truncation) from an embedded
@@ -1992,7 +2037,7 @@ mod tests {
                     ep: TcpEndpoint::listen(port::DNS),
                     responded: false,
                 });
-                let out = flow.ep.on_segment(seg);
+                let out: Vec<TcpSegment> = flow.ep.on_segment(seg).into_iter().collect();
                 let mut query = None;
                 if flow.ep.is_established() && !flow.responded && flow.ep.received.len() >= 2 {
                     let need =

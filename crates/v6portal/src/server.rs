@@ -12,17 +12,14 @@ use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 use v6sim::engine::{Ctx, Node};
 use v6sim::tcp::TcpEndpoint;
 use v6wire::arp::{ArpOp, ArpPacket};
-use v6wire::ethernet::{EtherType, EthernetFrame};
+use v6wire::emit::{self, Ip};
 use v6wire::fasthash::FastMap;
 use v6wire::icmpv4::Icmpv4Message;
 use v6wire::icmpv6::Icmpv6Message;
-use v6wire::ipv4::{proto, Ipv4Packet};
-use v6wire::ipv6::Ipv6Packet;
 use v6wire::mac::MacAddr;
 use v6wire::ndp::{NdpOption, NeighborAdvertisement};
-use v6wire::packet::{build_arp, build_icmpv6};
 use v6wire::tcp::TcpSegment;
-use v6wire::view::{FrameView, Icmp4View, Icmp6View, L3View, L4View};
+use v6wire::view::{FrameView, Icmp4View, Icmp6View, L3View, L4View, TcpView};
 
 /// What a vhost serves.
 #[derive(Debug, Clone)]
@@ -219,18 +216,8 @@ impl PortalServer {
     }
 
     fn send_segment(&self, id: FlowId, seg: TcpSegment, dst_mac: MacAddr, ctx: &mut Ctx) {
-        match (id.local, id.remote) {
-            (IpAddr::V6(l), IpAddr::V6(r)) => {
-                let pkt = Ipv6Packet::new(l, r, proto::TCP, seg.encode_v6(l, r));
-                let frame = EthernetFrame::new(dst_mac, self.mac, EtherType::Ipv6, pkt.encode());
-                ctx.send(0, frame.encode());
-            }
-            (IpAddr::V4(l), IpAddr::V4(r)) => {
-                let pkt = Ipv4Packet::new(l, r, proto::TCP, seg.encode_v4(l, r));
-                let frame = EthernetFrame::new(dst_mac, self.mac, EtherType::Ipv4, pkt.encode());
-                ctx.send(0, frame.encode());
-            }
-            _ => {}
+        if let Some(ip) = Ip::between(id.local, id.remote) {
+            ctx.send(0, emit::tcp(dst_mac, self.mac, ip, &seg));
         }
     }
 }
@@ -242,8 +229,7 @@ impl Node for PortalServer {
 
     fn on_frame(&mut self, _port: u32, raw: &[u8], ctx: &mut Ctx) {
         // Zero-copy view (same accept/reject behaviour as the owned
-        // parser): only the one TCP segment actually handed to a flow is
-        // materialized, instead of owning every layer's payload per frame.
+        // parser): TCP segments reach the flow as borrowed views.
         let Ok(parsed) = FrameView::parse(raw) else {
             return;
         };
@@ -252,7 +238,7 @@ impl Node for PortalServer {
                 if arp.op == ArpOp::Request && self.v4_addrs.contains(&arp.target_ip) =>
             {
                 let reply = ArpPacket::reply_to(arp, self.mac);
-                ctx.send(0, build_arp(self.mac, arp.sender_mac, &reply));
+                ctx.send(0, emit::arp(arp.sender_mac, self.mac, &reply));
             }
             (L3View::V6(ip), L4View::Icmp6(Icmp6View::NeighborSolicitation { target, .. }))
                 if self.v6_addrs.contains(target) =>
@@ -266,7 +252,7 @@ impl Node for PortalServer {
                 });
                 ctx.send(
                     0,
-                    build_icmpv6(self.mac, parsed.eth.src, *target, ip.src, &na),
+                    emit::icmpv6(parsed.eth.src, self.mac, Ip::v6(*target, ip.src), &na),
                 );
             }
             (
@@ -284,7 +270,7 @@ impl Node for PortalServer {
                 };
                 ctx.send(
                     0,
-                    build_icmpv6(self.mac, parsed.eth.src, ip.dst, ip.src, &reply),
+                    emit::icmpv6(parsed.eth.src, self.mac, Ip::v6(ip.dst, ip.src), &reply),
                 );
             }
             (
@@ -302,7 +288,7 @@ impl Node for PortalServer {
                 };
                 ctx.send(
                     0,
-                    v6wire::packet::build_icmpv4(self.mac, parsed.eth.src, ip.dst, ip.src, &reply),
+                    emit::icmpv4(parsed.eth.src, self.mac, Ip::v4(ip.dst, ip.src), &reply),
                 );
             }
             (L3View::V6(ip), L4View::Tcp(seg))
@@ -314,7 +300,7 @@ impl Node for PortalServer {
                     rport: seg.src_port,
                     lport: seg.dst_port,
                 };
-                self.on_tcp(id, seg.to_segment(), parsed.eth.src, ctx);
+                self.on_tcp(id, seg, parsed.eth.src, ctx);
             }
             (L3View::V4(ip), L4View::Tcp(seg))
                 if self.v4_addrs.contains(&ip.dst) && self.tcp_ports.contains(&seg.dst_port) =>
@@ -325,7 +311,7 @@ impl Node for PortalServer {
                     rport: seg.src_port,
                     lport: seg.dst_port,
                 };
-                self.on_tcp(id, seg.to_segment(), parsed.eth.src, ctx);
+                self.on_tcp(id, seg, parsed.eth.src, ctx);
             }
             _ => {}
         }
@@ -337,14 +323,14 @@ impl Node for PortalServer {
 }
 
 impl PortalServer {
-    fn on_tcp(&mut self, id: FlowId, seg: TcpSegment, reply_mac: MacAddr, ctx: &mut Ctx) {
+    fn on_tcp(&mut self, id: FlowId, seg: &TcpView<'_>, reply_mac: MacAddr, ctx: &mut Ctx) {
         let flow = self.flows.entry(id).or_insert_with(|| ServerFlow {
             ep: TcpEndpoint::listen(id.lport),
             responded: false,
         });
-        let replies = flow.ep.on_segment(&seg);
+        let reply = flow.ep.on_segment(*seg);
         let closed = flow.ep.is_closed();
-        for r in replies {
+        if let Some(r) = reply {
             self.send_segment(id, r, reply_mac, ctx);
         }
         self.serve(id, ctx, reply_mac);
@@ -388,28 +374,8 @@ mod tests {
         }
 
         fn send_seg(&self, seg: TcpSegment, ctx: &mut Ctx) {
-            match (self.local, self.remote) {
-                (IpAddr::V6(l), IpAddr::V6(r)) => {
-                    let pkt = Ipv6Packet::new(l, r, proto::TCP, seg.encode_v6(l, r));
-                    let f = EthernetFrame::new(
-                        MacAddr::BROADCAST,
-                        self.mac,
-                        EtherType::Ipv6,
-                        pkt.encode(),
-                    );
-                    ctx.send(0, f.encode());
-                }
-                (IpAddr::V4(l), IpAddr::V4(r)) => {
-                    let pkt = Ipv4Packet::new(l, r, proto::TCP, seg.encode_v4(l, r));
-                    let f = EthernetFrame::new(
-                        MacAddr::BROADCAST,
-                        self.mac,
-                        EtherType::Ipv4,
-                        pkt.encode(),
-                    );
-                    ctx.send(0, f.encode());
-                }
-                _ => {}
+            if let Some(ip) = Ip::between(self.local, self.remote) {
+                ctx.send(0, emit::tcp(MacAddr::BROADCAST, self.mac, ip, &seg));
             }
         }
     }
@@ -434,7 +400,7 @@ mod tests {
                 _ => return,
             };
             let Some(mut ep) = self.ep.take() else { return };
-            let mut out = ep.on_segment(&seg);
+            let mut out: Vec<TcpSegment> = ep.on_segment(&seg).into_iter().collect();
             if ep.is_established() && !self.sent {
                 self.sent = true;
                 let req = HttpRequest::format_get(&self.host_header, "/");

@@ -357,9 +357,13 @@ impl RunManifest {
                 "warm_scenarios_per_sec",
                 "speedup",
                 "warm_mt_scenarios_per_sec",
-                "thread_scaling",
             ] {
                 warm.set(field, num(&["warm_cell", field])?);
+            }
+            // A scaling figure exists only for runs on two or more
+            // threads; a single-thread row carries none.
+            if let Some(scaling) = v.get_path(&["warm_cell", "thread_scaling"]) {
+                warm.set("thread_scaling", scaling.clone());
             }
             timings.set("warm_cell", warm);
         }
@@ -398,7 +402,7 @@ impl RunManifest {
             for field in [
                 "wire_parse_speedup",
                 "dns_parse_speedup",
-                "checksum_swar_gb_per_s",
+                "checksum_gb_per_s",
                 "full_trace_speedup",
             ] {
                 codec.set(field, num(&["codec_zero_copy", field])?);

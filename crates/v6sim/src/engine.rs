@@ -67,6 +67,10 @@ struct FramePool {
     /// reset, so arena steady-state gates can prove warm cells malloc
     /// no new frame buffers at all.
     fresh: u64,
+    /// Most buffers drawn by [`FramePool::get`] within any one cell over
+    /// the pool's lifetime: the most a cell can ever need from `reserve`,
+    /// so [`FramePool::recycle`] parks no more than this.
+    high_water: u64,
 }
 
 /// Cap on pooled buffers so pathological floods cannot pin memory.
@@ -91,6 +95,21 @@ impl FramePool {
         }
     }
 
+    /// [`FramePool::get`] for a frame of `len` bytes: among the few most
+    /// recently parked buffers, one already big enough is preferred, so
+    /// the copy does not have to grow it. Which parked buffer serves a
+    /// draw is invisible to the counters.
+    fn get_for(&mut self, len: usize) -> Vec<u8> {
+        let top = self.free.len();
+        if let Some(i) = (top.saturating_sub(8)..top)
+            .rev()
+            .find(|&i| self.free[i].capacity() >= len)
+        {
+            self.free.swap(i, top - 1);
+        }
+        self.get()
+    }
+
     fn put(&mut self, mut buf: Vec<u8>) {
         if buf.capacity() > 0 && self.free.len() < FRAME_POOL_CAP {
             buf.clear();
@@ -98,15 +117,25 @@ impl FramePool {
         }
     }
 
-    /// Park every free buffer and zero the per-cell counters. The next
-    /// cell sees exactly what a cold pool reports (`free` empty, both
-    /// counters zero) while reusing the parked capacity.
+    /// Park free buffers and zero the per-cell counters. The next cell
+    /// sees exactly what a cold pool reports (`free` empty, both counters
+    /// zero) while reusing the parked capacity.
+    ///
+    /// A cell draws at most `allocated + reused` buffers, and only the
+    /// `allocated` ones can come from `reserve`, so the reserve is topped
+    /// up to the lifetime high-water of draws per cell and every other
+    /// free buffer — most of them frames that were allocated by a node
+    /// and merely parked here after delivery — is freed.
     fn recycle(&mut self) {
-        while let Some(buf) = self.free.pop() {
-            if self.reserve.len() < FRAME_POOL_CAP {
-                self.reserve.push(buf);
+        self.high_water = self.high_water.max(self.allocated + self.reused);
+        let keep = (self.high_water as usize).min(FRAME_POOL_CAP);
+        while self.reserve.len() < keep {
+            match self.free.pop() {
+                Some(buf) => self.reserve.push(buf),
+                None => break,
             }
         }
+        self.free.clear();
         self.allocated = 0;
         self.reused = 0;
     }
@@ -117,10 +146,10 @@ impl FramePool {
 enum Action {
     /// Transmit a frame out of a local port.
     Send { port: u32, frame: Vec<u8> },
-    /// A transmission attempt on a port with no cable: counted exactly
-    /// like an unlinked [`Action::Send`], but the frame bytes were never
-    /// copied (see [`Ctx::send_copy`]).
-    SendUnlinked { len: usize },
+    /// `frames` transmission attempts of `len` bytes each on ports with
+    /// no cable: counted exactly like unlinked [`Action::Send`]s, but the
+    /// frame bytes were never copied (see [`Ctx::flood`]).
+    SendUnlinked { frames: u64, len: usize },
     /// Fire `on_timer(token)` after `delay`.
     Timer { delay: SimTime, token: u64 },
 }
@@ -142,19 +171,38 @@ impl Ctx<'_> {
         self.actions.push(Action::Send { port, frame });
     }
 
-    /// Transmit a copy of `bytes` out of `port` — the flood idiom.
-    ///
-    /// When the port has no cable attached, the attempt still lands in
-    /// the counters (`frames_tx`, `bytes_tx`, `drops_unlinked`) exactly
-    /// as a plain [`Ctx::send`] would, but the frame is never copied —
-    /// so flooding a 50-port switch with 4 cables costs 4 copies, not 50.
+    /// Transmit a copy of `bytes` out of `port`. When the port has no
+    /// cable attached, the attempt still lands in the counters exactly as
+    /// a plain [`Ctx::send`] would, but the frame is never copied.
     pub fn send_copy(&mut self, port: u32, bytes: &[u8]) {
-        if self.links.get(port as usize).is_some_and(Option::is_some) {
-            let mut buf = self.pool.get();
-            buf.extend_from_slice(bytes);
-            self.actions.push(Action::Send { port, frame: buf });
-        } else {
-            self.actions.push(Action::SendUnlinked { len: bytes.len() });
+        self.flood(port..port + 1, None, bytes);
+    }
+
+    /// Transmit a copy of `bytes` out of every port in `ports` except
+    /// `except` — the switch flood. Only cabled ports get a (pooled)
+    /// copy; the uncabled attempts land in the counters (`frames_tx`,
+    /// `bytes_tx`, `drops_unlinked`) as one bulk action, exactly as that
+    /// many plain [`Ctx::send`]s to nowhere would. Flooding a 50-port
+    /// switch with 4 cables costs 4 copies and 5 actions, not 50 of each.
+    pub fn flood(&mut self, ports: std::ops::Range<u32>, except: Option<u32>, bytes: &[u8]) {
+        let mut unlinked = 0u64;
+        for port in ports {
+            if Some(port) == except {
+                continue;
+            }
+            if self.links.get(port as usize).is_some_and(Option::is_some) {
+                let mut buf = self.pool.get_for(bytes.len());
+                buf.extend_from_slice(bytes);
+                self.actions.push(Action::Send { port, frame: buf });
+            } else {
+                unlinked += 1;
+            }
+        }
+        if unlinked > 0 {
+            self.actions.push(Action::SendUnlinked {
+                frames: unlinked,
+                len: bytes.len(),
+            });
         }
     }
 
@@ -168,7 +216,7 @@ impl Ctx<'_> {
     /// A pooled buffer pre-filled with a copy of `bytes` — the common
     /// "forward this frame" idiom for switches and routers.
     pub fn buffer_from(&mut self, bytes: &[u8]) -> Vec<u8> {
-        let mut buf = self.pool.get();
+        let mut buf = self.pool.get_for(bytes.len());
         buf.extend_from_slice(bytes);
         buf
     }
@@ -620,11 +668,11 @@ impl Network {
                         self.frame_pool.put(frame);
                     }
                 }
-                Action::SendUnlinked { len } => {
-                    self.node_counters[node].frames_tx += 1;
-                    self.node_counters[node].bytes_tx += len as u64;
-                    self.node_counters[node].drops_unlinked += 1;
-                    self.engine_counters.frames_dropped_unlinked += 1;
+                Action::SendUnlinked { frames, len } => {
+                    self.node_counters[node].frames_tx += frames;
+                    self.node_counters[node].bytes_tx += frames * len as u64;
+                    self.node_counters[node].drops_unlinked += frames;
+                    self.engine_counters.frames_dropped_unlinked += frames;
                 }
                 Action::Timer { delay, token } => {
                     self.push(self.now + delay, node, EventKind::Timer { token });

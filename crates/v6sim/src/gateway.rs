@@ -22,16 +22,13 @@ use v6addr::prefix::Ipv6Prefix;
 use v6addr::rfc6052::Nat64Prefix;
 use v6dhcp::server::{DhcpServer, ServerConfig};
 use v6wire::arp::{ArpOp, ArpPacket};
-use v6wire::ethernet::{EtherType, EthernetFrame};
+use v6wire::emit::{self, Ip};
 use v6wire::fasthash::FastMap;
 use v6wire::icmpv4::Icmpv4Message;
 use v6wire::icmpv6::{all_nodes, Icmpv6Message};
-use v6wire::ipv4::{proto, Ipv4Packet};
-use v6wire::ipv6::Ipv6Packet;
 use v6wire::mac::MacAddr;
 use v6wire::ndp::{NdpOption, NeighborAdvertisement, RouterAdvertisement, RouterPreference};
-use v6wire::packet::{build_arp, build_icmpv6};
-use v6wire::udp::{port, UdpDatagram};
+use v6wire::udp::port;
 use v6wire::view::{FrameView, Icmp4View, Icmp6View, Ipv4View, Ipv6View, L3View, L4View};
 use v6xlat::nat64::{Nat64, Nat64Config};
 
@@ -79,7 +76,13 @@ pub struct FiveGGateway {
     /// blocked (NAT44 refuses new and existing flows); NAT64 and the DNS
     /// proxy keep working.
     pub block_v4_internet: bool,
+    /// The encoded RA with the inputs it was built from.
+    ra_frame: Option<(RaKey, Vec<u8>)>,
 }
+
+/// What the gateway's RA bytes depend on: prefix, LAN MAC, link-local
+/// source and the advertised resolvers.
+type RaKey = (Ipv6Prefix, MacAddr, Ipv6Addr, Vec<Ipv6Addr>);
 
 impl FiveGGateway {
     /// A gateway matching the paper's unit.
@@ -128,6 +131,7 @@ impl FiveGGateway {
             dns_proxy_ports: FastMap::default(),
             no_route_drops: 0,
             block_v4_internet: false,
+            ra_frame: None,
         }
     }
 
@@ -199,56 +203,68 @@ impl FiveGGateway {
         ra
     }
 
-    fn send_ra(&self, ctx: &mut Ctx) {
-        let frame = build_icmpv6(
-            self.lan_mac,
-            MacAddr::for_ipv6_multicast(all_nodes()),
-            self.link_local,
-            all_nodes(),
-            &Icmpv6Message::RouterAdvertisement(self.build_ra()),
-        );
-        ctx.send(LAN, frame);
+    /// The RA frame is a pure function of the prefix, the addresses and
+    /// the advertised resolvers, so it is encoded once per change and
+    /// each beacon sends a copy.
+    fn send_ra(&mut self, ctx: &mut Ctx) {
+        let fresh = self.ra_frame.as_ref().is_some_and(|(key, _)| {
+            key.0 == self.gua_prefix
+                && key.1 == self.lan_mac
+                && key.2 == self.link_local
+                && key.3 == self.advertised_rdnss
+        });
+        if !fresh {
+            let frame = emit::icmpv6(
+                MacAddr::for_ipv6_multicast(all_nodes()),
+                self.lan_mac,
+                Ip::v6(self.link_local, all_nodes()),
+                &Icmpv6Message::RouterAdvertisement(self.build_ra()),
+            );
+            let key = (
+                self.gua_prefix,
+                self.lan_mac,
+                self.link_local,
+                self.advertised_rdnss.clone(),
+            );
+            self.ra_frame = Some((key, frame));
+        }
+        let (_, frame) = self.ra_frame.as_ref().expect("filled above");
+        ctx.send(LAN, frame.clone());
     }
 
-    fn lan_send_v6(&mut self, pkt: Ipv6Packet, ctx: &mut Ctx) {
-        let Some(&mac) = self.neigh6.get(&pkt.dst) else {
+    /// Send a frame emitted with a placeholder destination MAC to the LAN
+    /// neighbour owning `dst`, or count a no-route drop.
+    fn lan_send_v6(&mut self, dst: Ipv6Addr, mut frame: Vec<u8>, ctx: &mut Ctx) {
+        let Some(&mac) = self.neigh6.get(&dst) else {
             self.no_route_drops += 1;
             return; // would queue + NS in a full stack
         };
-        let frame = EthernetFrame::new(mac, self.lan_mac, EtherType::Ipv6, pkt.encode());
-        ctx.send(LAN, frame.encode());
+        emit::set_dst_mac(&mut frame, mac);
+        ctx.send(LAN, frame);
     }
 
-    fn lan_send_v4(&mut self, pkt: Ipv4Packet, ctx: &mut Ctx) {
-        let Some(&mac) = self.arp4.get(&pkt.dst) else {
+    /// [`FiveGGateway::lan_send_v6`] for IPv4 (ARP table).
+    fn lan_send_v4(&mut self, dst: Ipv4Addr, mut frame: Vec<u8>, ctx: &mut Ctx) {
+        let Some(&mac) = self.arp4.get(&dst) else {
             self.no_route_drops += 1;
             return;
         };
-        let frame = EthernetFrame::new(mac, self.lan_mac, EtherType::Ipv4, pkt.encode());
-        ctx.send(LAN, frame.encode());
+        emit::set_dst_mac(&mut frame, mac);
+        ctx.send(LAN, frame);
     }
 
-    fn wan_send_v4(&self, pkt: Ipv4Packet, ctx: &mut Ctx) {
-        let frame = EthernetFrame::new(
-            MacAddr::BROADCAST,
-            self.lan_mac,
-            EtherType::Ipv4,
-            pkt.encode(),
-        );
-        ctx.send(WAN, frame.encode());
+    /// MACs of a WAN frame: the point-to-point uplink uses broadcast.
+    fn wan_macs(&self) -> (MacAddr, MacAddr) {
+        (MacAddr::BROADCAST, self.lan_mac)
     }
 
-    fn wan_send_v6(&self, pkt: Ipv6Packet, ctx: &mut Ctx) {
-        let frame = EthernetFrame::new(
-            MacAddr::BROADCAST,
-            self.lan_mac,
-            EtherType::Ipv6,
-            pkt.encode(),
-        );
-        ctx.send(WAN, frame.encode());
-    }
-
-    fn handle_lan_v6(&mut self, parsed: &FrameView<'_>, ip: &Ipv6View<'_>, ctx: &mut Ctx) {
+    fn handle_lan_v6(
+        &mut self,
+        raw: &[u8],
+        parsed: &FrameView<'_>,
+        ip: &Ipv6View<'_>,
+        ctx: &mut Ctx,
+    ) {
         self.neigh6.insert(ip.src, parsed.eth.src);
         // Addressed to us?
         if ip.dst == self.link_local || ip.dst == self.gua() || ip.dst == all_nodes() {
@@ -264,7 +280,8 @@ impl FiveGGateway {
                         target: *target,
                         options: vec![NdpOption::TargetLinkLayer(self.lan_mac)],
                     });
-                    let frame = build_icmpv6(self.lan_mac, parsed.eth.src, *target, ip.src, &na);
+                    let frame =
+                        emit::icmpv6(parsed.eth.src, self.lan_mac, Ip::v6(*target, ip.src), &na);
                     ctx.send(LAN, frame);
                 }
                 L4View::Icmp6(Icmp6View::EchoRequest {
@@ -277,7 +294,8 @@ impl FiveGGateway {
                         seq: *seq,
                         payload: payload.to_vec(),
                     };
-                    let frame = build_icmpv6(self.lan_mac, parsed.eth.src, ip.dst, ip.src, &reply);
+                    let frame =
+                        emit::icmpv6(parsed.eth.src, self.lan_mac, Ip::v6(ip.dst, ip.src), &reply);
                     ctx.send(LAN, frame);
                 }
                 _ => {}
@@ -291,19 +309,22 @@ impl FiveGGateway {
         }
         // Routing decision.
         if self.nat64.prefix().matches(ip.dst) {
-            if let Ok(v4) = self.nat64.v6_to_v4(&ip.to_packet(), ctx.now.as_secs()) {
-                self.wan_send_v4(v4, ctx)
+            let (dst_mac, src_mac) = self.wan_macs();
+            let now = ctx.now.as_secs();
+            if let Ok(frame) = self
+                .nat64
+                .v6_to_v4_frame(ip, &parsed.l4, now, dst_mac, src_mac)
+            {
+                ctx.send(WAN, frame);
             }
             return;
         }
         match v6_class(ip.dst) {
             V6Class::GlobalUnicast | V6Class::SixToFour | V6Class::Teredo => {
-                // Same hop-limit rule as `Ipv6Packet::forwarded`, without
-                // materializing the packet when the TTL is spent.
+                // A router never forwards a packet whose hop limit is spent.
                 if ip.hop_limit > 1 {
-                    let mut fwd = ip.to_packet();
-                    fwd.hop_limit -= 1;
-                    self.wan_send_v6(fwd, ctx);
+                    let (dst_mac, src_mac) = self.wan_macs();
+                    ctx.send(WAN, emit::forward_v6(dst_mac, src_mac, raw, ip));
                 }
             }
             // ULA (the dead RDNSS!), link-local, everything else: no route.
@@ -326,39 +347,39 @@ impl FiveGGateway {
                         .entry(Ipv4Addr::UNSPECIFIED)
                         .or_insert(parsed.eth.src);
                     if let Some(reply) = self.dhcp.handle(&msg, ctx.now.as_secs()) {
-                        let yiaddr = reply.yiaddr;
-                        let dgram =
-                            UdpDatagram::new(port::DHCP_SERVER, port::DHCP_CLIENT, reply.encode());
                         // Reply unicast to the client MAC, broadcast IP.
-                        let frame = v6wire::packet::build_udp_v4(
-                            self.lan_mac,
+                        let frame = emit::udp_with(
                             msg.chaddr,
-                            self.lan_v4,
-                            Ipv4Addr::BROADCAST,
-                            &dgram,
+                            self.lan_mac,
+                            Ip::v4(self.lan_v4, Ipv4Addr::BROADCAST),
+                            port::DHCP_SERVER,
+                            port::DHCP_CLIENT,
+                            300,
+                            |out| reply.encode_into(out),
                         );
-                        self.arp4.insert(yiaddr, msg.chaddr);
+                        self.arp4.insert(reply.yiaddr, msg.chaddr);
                         ctx.send(LAN, frame);
                     }
                 }
                 return;
             }
-            // DNS proxy: queries addressed to the gateway's resolver address.
+            // DNS proxy: queries addressed to the gateway's resolver address
+            // are re-sent to the upstream resolver as a fresh datagram (TTL
+            // 64) through NAT44, which spends one hop.
             if udp.dst_port == port::DNS && ip.dst == self.lan_v4 {
-                let upstream = self.upstream_dns;
-                let rewritten = Ipv4Packet::new(
-                    ip.src,
-                    upstream,
-                    proto::UDP,
-                    UdpDatagram::new(udp.src_port, port::DNS, udp.payload.to_vec())
-                        .encode_v4(ip.src, upstream),
-                );
-                if let Ok(out) = self.nat44.outbound(&rewritten, ctx.now.as_secs()) {
+                let now = ctx.now.as_secs();
+                if let Ok(ext_port) = self.nat44.bind_udp(ip.src, udp.src_port, now) {
                     // Remember the external port so the reply maps back.
-                    if let Ok(od) = UdpDatagram::decode_v4(&out.payload, out.src, out.dst) {
-                        self.dns_proxy_ports.insert(od.src_port, ());
-                    }
-                    self.wan_send_v4(out, ctx);
+                    self.dns_proxy_ports.insert(ext_port, ());
+                    let (dst_mac, src_mac) = self.wan_macs();
+                    let out = Ip::V4 {
+                        src: self.nat44.public_ip,
+                        dst: self.upstream_dns,
+                        ttl: 63,
+                        tos: 0,
+                    };
+                    let frame = emit::udp(dst_mac, src_mac, out, ext_port, port::DNS, udp.payload);
+                    ctx.send(WAN, frame);
                 }
                 return;
             }
@@ -376,11 +397,10 @@ impl FiveGGateway {
                     seq: *seq,
                     payload: payload.to_vec(),
                 };
-                let frame = v6wire::packet::build_icmpv4(
-                    self.lan_mac,
+                let frame = emit::icmpv4(
                     parsed.eth.src,
-                    self.lan_v4,
-                    ip.src,
+                    self.lan_mac,
+                    Ip::v4(self.lan_v4, ip.src),
                     &reply,
                 );
                 ctx.send(LAN, frame);
@@ -396,40 +416,47 @@ impl FiveGGateway {
             self.no_route_drops += 1;
             return;
         }
-        if let Ok(out) = self.nat44.outbound(&ip.to_packet(), ctx.now.as_secs()) {
-            self.wan_send_v4(out, ctx);
+        let macs = self.wan_macs();
+        if let Ok(frame) = self
+            .nat44
+            .outbound_frame(ip, &parsed.l4, ctx.now.as_secs(), macs)
+        {
+            ctx.send(WAN, frame);
         }
     }
 
-    fn handle_wan(&mut self, parsed: &FrameView<'_>, ctx: &mut Ctx) {
+    fn handle_wan(&mut self, raw: &[u8], parsed: &FrameView<'_>, ctx: &mut Ctx) {
         match &parsed.l3 {
             L3View::V4(ip) if ip.dst == self.wan_v4 => {
                 let now = ctx.now.as_secs();
-                let pkt = ip.to_packet();
+                // The LAN MAC is filled in once the next hop is known.
+                let macs = (MacAddr::ZERO, self.lan_mac);
                 // NAT64 reverse first (its port floor keeps ranges disjoint).
-                if let Ok(v6) = self.nat64.v4_to_v6(&pkt, now) {
-                    self.lan_send_v6(v6, ctx);
+                if let Ok((frame, dst)) = self
+                    .nat64
+                    .v4_to_v6_frame(ip, &parsed.l4, now, macs.0, macs.1)
+                {
+                    self.lan_send_v6(dst, frame, ctx);
                     return;
                 }
-                if let Ok(mut v4) = self.nat44.inbound(&pkt, now) {
-                    // Proxied DNS replies masquerade as the gateway resolver.
-                    if ip.src == self.upstream_dns {
-                        if let Ok(d) = UdpDatagram::decode_v4(ip.payload, ip.src, ip.dst) {
-                            if self.dns_proxy_ports.contains_key(&d.dst_port) {
-                                let inner = UdpDatagram::decode_v4(&v4.payload, v4.src, v4.dst)
-                                    .expect("nat44 output is valid");
-                                let lan_v4 = self.lan_v4;
-                                v4 = Ipv4Packet::new(
-                                    lan_v4,
-                                    v4.dst,
-                                    proto::UDP,
-                                    UdpDatagram::new(port::DNS, inner.dst_port, inner.payload)
-                                        .encode_v4(lan_v4, v4.dst),
-                                );
-                            }
+                if let Ok((mut frame, internal)) =
+                    self.nat44.inbound_frame(ip, &parsed.l4, now, macs)
+                {
+                    // Proxied DNS replies masquerade as the gateway
+                    // resolver: a fresh datagram from `lan_v4`:53.
+                    if let (true, L4View::Udp(d)) = (ip.src == self.upstream_dns, &parsed.l4) {
+                        if self.dns_proxy_ports.contains_key(&d.dst_port) {
+                            frame = emit::udp(
+                                macs.0,
+                                macs.1,
+                                Ip::v4(self.lan_v4, internal.0),
+                                port::DNS,
+                                internal.1,
+                                d.payload,
+                            );
                         }
                     }
-                    self.lan_send_v4(v4, ctx);
+                    self.lan_send_v4(internal.0, frame, ctx);
                 }
             }
             L3View::V6(ip) if self.gua_prefix.contains(ip.dst) => {
@@ -437,9 +464,8 @@ impl FiveGGateway {
                     return; // traffic to the gateway itself: nothing to serve
                 }
                 if ip.hop_limit > 1 {
-                    let mut fwd = ip.to_packet();
-                    fwd.hop_limit -= 1;
-                    self.lan_send_v6(fwd, ctx);
+                    let frame = emit::forward_v6(MacAddr::ZERO, self.lan_mac, raw, ip);
+                    self.lan_send_v6(ip.dst, frame, ctx);
                 }
             }
             _ => {}
@@ -478,7 +504,7 @@ impl Node for FiveGGateway {
             return;
         };
         if port_idx == WAN {
-            self.handle_wan(&parsed, ctx);
+            self.handle_wan(raw, &parsed, ctx);
             return;
         }
         match &parsed.l3 {
@@ -486,12 +512,12 @@ impl Node for FiveGGateway {
                 self.arp4.insert(arp.sender_ip, arp.sender_mac);
                 if arp.op == ArpOp::Request && arp.target_ip == self.lan_v4 {
                     let reply = ArpPacket::reply_to(arp, self.lan_mac);
-                    ctx.send(LAN, build_arp(self.lan_mac, arp.sender_mac, &reply));
+                    ctx.send(LAN, emit::arp(arp.sender_mac, self.lan_mac, &reply));
                 }
             }
             L3View::V6(ip) => {
                 let ip = *ip;
-                self.handle_lan_v6(&parsed, &ip, ctx);
+                self.handle_lan_v6(raw, &parsed, &ip, ctx);
             }
             L3View::V4(ip) => {
                 let ip = *ip;
@@ -510,7 +536,8 @@ impl Node for FiveGGateway {
 mod tests {
     use super::*;
     use crate::engine::Network;
-    use v6wire::packet::{ParsedFrame, L3, L4};
+    use v6wire::packet::{build_arp, ParsedFrame, L3, L4};
+    use v6wire::udp::UdpDatagram;
 
     struct Sink {
         name: String,

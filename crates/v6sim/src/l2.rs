@@ -8,13 +8,13 @@ use crate::time::SimTime;
 use std::any::Any;
 use std::net::Ipv6Addr;
 use v6addr::prefix::Ipv6Prefix;
-use v6dhcp::codec::DhcpMessage;
+use v6dhcp::codec::{DhcpMessage, DhcpMessageType};
 use v6dhcp::snoop::{DhcpSnoop, SnoopVerdict};
+use v6wire::emit::{self, Ip};
 use v6wire::fasthash::FastMap;
 use v6wire::icmpv6::{all_nodes, Icmpv6Message};
 use v6wire::mac::MacAddr;
 use v6wire::ndp::{NdpOption, RouterAdvertisement, RouterPreference};
-use v6wire::packet::build_icmpv6;
 use v6wire::udp::port;
 use v6wire::view::{FrameView, Icmp6View, L3View, L4View};
 
@@ -152,40 +152,31 @@ impl Switch {
         self.snoop_dropped = 0;
     }
 
-    fn is_dhcp(frame: &FrameView) -> Option<DhcpMessage> {
+    /// The reply flag and message type of a DHCP frame, read without
+    /// decoding its options.
+    fn dhcp_kind(frame: &FrameView) -> Option<(bool, Option<DhcpMessageType>)> {
         if let (L3View::V4(_), L4View::Udp(udp)) = (&frame.l3, &frame.l4) {
             if (udp.dst_port == port::DHCP_SERVER || udp.dst_port == port::DHCP_CLIENT)
                 && (udp.src_port == port::DHCP_SERVER || udp.src_port == port::DHCP_CLIENT)
             {
-                return DhcpMessage::decode(udp.payload).ok();
+                return DhcpMessage::peek_kind(udp.payload).ok();
             }
         }
         None
-    }
-
-    fn flood(&mut self, ingress: u32, raw: &[u8], ctx: &mut Ctx) {
-        for p in 0..self.ports {
-            if p != ingress {
-                ctx.send_copy(p, raw);
-            }
-        }
     }
 
     fn emit_ra(&mut self, ctx: &mut Ctx) {
         if let Some(ra) = &self.ra {
             let frame = self.ra_frame.get_or_insert_with(|| {
                 let msg = Icmpv6Message::RouterAdvertisement(ra.build());
-                build_icmpv6(
-                    ra.mac,
+                emit::icmpv6(
                     MacAddr::for_ipv6_multicast(all_nodes()),
-                    ra.link_local,
-                    all_nodes(),
+                    ra.mac,
+                    Ip::v6(ra.link_local, all_nodes()),
                     &msg,
                 )
             });
-            for p in 0..self.ports {
-                ctx.send_copy(p, frame);
-            }
+            ctx.flood(0..self.ports, None, frame);
         }
     }
 }
@@ -233,8 +224,9 @@ impl Node for Switch {
         }
         // DHCP snooping.
         if let Some(snoop) = &mut self.snoop {
-            if let Some(dhcp) = Self::is_dhcp(&parsed) {
-                if snoop.inspect(ingress, &dhcp) == SnoopVerdict::DropUntrustedServer {
+            if let Some((is_reply, kind)) = Self::dhcp_kind(&parsed) {
+                if snoop.inspect_kind(ingress, is_reply, kind) == SnoopVerdict::DropUntrustedServer
+                {
                     self.snoop_dropped += 1;
                     return;
                 }
@@ -251,13 +243,13 @@ impl Node for Switch {
         // Forward.
         self.forwarded += 1;
         if parsed.eth.dst.is_multicast() {
-            self.flood(ingress, raw, ctx);
+            ctx.flood(0..self.ports, Some(ingress), raw);
         } else if let Some(&out) = self.mac_table.get(&parsed.eth.dst) {
             if out != ingress {
                 ctx.send_copy(out, raw);
             }
         } else {
-            self.flood(ingress, raw, ctx);
+            ctx.flood(0..self.ports, Some(ingress), raw);
         }
     }
 
@@ -271,7 +263,7 @@ mod tests {
     use super::*;
     use crate::engine::Network;
     use v6dhcp::codec::DhcpMessageType;
-    use v6wire::packet::{build_udp_v4, ParsedFrame, L4};
+    use v6wire::packet::{build_icmpv6, build_udp_v4, ParsedFrame, L4};
 
     /// Capture-everything endpoint.
     struct Sink {

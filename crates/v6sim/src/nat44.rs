@@ -7,11 +7,14 @@
 //! (paper §V, Nintendo Switch escape hatch).
 
 use std::net::Ipv4Addr;
+use v6wire::emit::{self, Ip, Ports};
 use v6wire::fasthash::FastMap;
 use v6wire::icmpv4::Icmpv4Message;
 use v6wire::ipv4::{proto, Ipv4Packet};
+use v6wire::mac::MacAddr;
 use v6wire::tcp::TcpSegment;
 use v6wire::udp::UdpDatagram;
+use v6wire::view::{Icmp4View, Ipv4View, L3View, L4View};
 
 use v6xlat::siit::XlatError;
 
@@ -167,13 +170,131 @@ impl Napt44 {
         Ok(out)
     }
 
+    /// [`Napt44::classify`] over a received frame's views.
+    fn classify_view(ip: &Ipv4View<'_>, l4: &L4View<'_>) -> Result<(Proto, u16, u16), XlatError> {
+        match l4 {
+            L4View::Udp(d) => Ok((Proto::Udp, d.src_port, d.dst_port)),
+            L4View::Tcp(s) => Ok((Proto::Tcp, s.src_port, s.dst_port)),
+            L4View::Icmp4(
+                Icmp4View::EchoRequest { ident, .. } | Icmp4View::EchoReply { ident, .. },
+            ) => Ok((Proto::Icmp, *ident, *ident)),
+            L4View::Icmp4(_) => Err(XlatError::UntranslatableIcmp),
+            _ => Err(XlatError::UnsupportedProtocol(ip.protocol)),
+        }
+    }
+
+    /// [`Napt44::rewrite`] from a received frame's views straight to the
+    /// rewritten Ethernet frame: the transport is copied once and its
+    /// ports and checksum patched under the new header.
+    fn rewrite_frame(
+        ip: &Ipv4View<'_>,
+        l4: &L4View<'_>,
+        out: Ip,
+        ports: Ports,
+        macs: (MacAddr, MacAddr),
+    ) -> Result<Vec<u8>, XlatError> {
+        let (dst_mac, src_mac) = macs;
+        if let L4View::Icmp4(m) = l4 {
+            let msg = match m.to_message() {
+                Icmpv4Message::EchoRequest {
+                    ident,
+                    seq,
+                    payload,
+                } => Icmpv4Message::EchoRequest {
+                    ident: ports.src.unwrap_or(ident),
+                    seq,
+                    payload,
+                },
+                Icmpv4Message::EchoReply {
+                    ident,
+                    seq,
+                    payload,
+                } => Icmpv4Message::EchoReply {
+                    ident: ports.dst.unwrap_or(ident),
+                    seq,
+                    payload,
+                },
+                other => other,
+            };
+            return Ok(emit::icmpv4(dst_mac, src_mac, out, &msg));
+        }
+        emit::transport(dst_mac, src_mac, out, &L3View::V4(*ip), l4, ports)
+            .ok_or(XlatError::UnsupportedProtocol(ip.protocol))
+    }
+
+    /// [`Napt44::outbound`] on a received frame's views: same bindings,
+    /// counters and errors, and the translated frame emitted in one pass
+    /// with the given MACs.
+    pub fn outbound_frame(
+        &mut self,
+        ip: &Ipv4View<'_>,
+        l4: &L4View<'_>,
+        now: u64,
+        macs: (MacAddr, MacAddr),
+    ) -> Result<Vec<u8>, XlatError> {
+        if ip.ttl <= 1 {
+            return Err(XlatError::HopLimitExceeded);
+        }
+        let (p, sport, _dport) = Self::classify_view(ip, l4)?;
+        let ext_port = self.bind(p, ip.src, sport, now)?;
+        let out = Ip::V4 {
+            src: self.public_ip,
+            dst: ip.dst,
+            ttl: ip.ttl - 1,
+            tos: ip.dscp_ecn,
+        };
+        let ports = Ports {
+            src: Some(ext_port),
+            dst: None,
+        };
+        Self::rewrite_frame(ip, l4, out, ports, macs)
+    }
+
+    /// [`Napt44::inbound`] on a received frame's views. Also returns the
+    /// internal destination, which picks the next hop on the LAN.
+    pub fn inbound_frame(
+        &mut self,
+        ip: &Ipv4View<'_>,
+        l4: &L4View<'_>,
+        now: u64,
+        macs: (MacAddr, MacAddr),
+    ) -> Result<(Vec<u8>, (Ipv4Addr, u16)), XlatError> {
+        let (p, _sport, dport) = Self::classify_view(ip, l4)?;
+        let internal = self.lookup(p, dport, now)?;
+        let out = Ip::V4 {
+            src: ip.src,
+            dst: internal.0,
+            ttl: ip.ttl.saturating_sub(1),
+            tos: ip.dscp_ecn,
+        };
+        let ports = Ports {
+            src: None,
+            dst: Some(internal.1),
+        };
+        Ok((Self::rewrite_frame(ip, l4, out, ports, macs)?, internal))
+    }
+
     /// Translate an outbound (LAN → WAN) packet.
     pub fn outbound(&mut self, pkt: &Ipv4Packet, now: u64) -> Result<Ipv4Packet, XlatError> {
         if pkt.ttl <= 1 {
             return Err(XlatError::HopLimitExceeded);
         }
         let (p, sport, _dport) = Self::classify(pkt)?;
-        let key = (p, pkt.src, sport);
+        let ext_port = self.bind(p, pkt.src, sport, now)?;
+        Self::rewrite(pkt, self.public_ip, pkt.dst, Some(ext_port), None)
+    }
+
+    /// Find or allocate the external UDP port for `(src, sport)` — the
+    /// state half of [`Napt44::outbound`] for a datagram the caller
+    /// writes itself (the gateway's DNS proxy).
+    pub fn bind_udp(&mut self, src: Ipv4Addr, sport: u16, now: u64) -> Result<u16, XlatError> {
+        self.bind(Proto::Udp, src, sport, now)
+    }
+
+    /// Find or allocate the external port for `(p, src, sport)` and
+    /// refresh its lifetime.
+    fn bind(&mut self, p: Proto, src: Ipv4Addr, sport: u16, now: u64) -> Result<u16, XlatError> {
+        let key = (p, src, sport);
         let ext_port = match self.forward.get_mut(&key) {
             Some((port, expires)) => {
                 *expires = now + self.lifetime;
@@ -204,7 +325,7 @@ impl Napt44 {
                 self.reverse.insert(
                     (p, port),
                     Binding {
-                        internal: (pkt.src, sport),
+                        internal: (src, sport),
                         expires: now + self.lifetime,
                     },
                 );
@@ -216,12 +337,19 @@ impl Napt44 {
             b.expires = now + self.lifetime;
         }
         self.outbound += 1;
-        Self::rewrite(pkt, self.public_ip, pkt.dst, Some(ext_port), None)
+        Ok(ext_port)
     }
 
     /// Translate an inbound (WAN → LAN) packet.
     pub fn inbound(&mut self, pkt: &Ipv4Packet, now: u64) -> Result<Ipv4Packet, XlatError> {
         let (p, _sport, dport) = Self::classify(pkt)?;
+        let internal = self.lookup(p, dport, now)?;
+        Self::rewrite(pkt, pkt.src, internal.0, None, Some(internal.1))
+    }
+
+    /// The live binding behind external port `dport`, counting the
+    /// inbound packet (or its drop).
+    fn lookup(&mut self, p: Proto, dport: u16, now: u64) -> Result<(Ipv4Addr, u16), XlatError> {
         let Some(b) = self.reverse.get(&(p, dport)).copied() else {
             self.dropped += 1;
             return Err(XlatError::NoBinding);
@@ -231,7 +359,7 @@ impl Napt44 {
             return Err(XlatError::NoBinding);
         }
         self.inbound += 1;
-        Self::rewrite(pkt, pkt.src, b.internal.0, None, Some(b.internal.1))
+        Ok(b.internal)
     }
 }
 

@@ -8,6 +8,7 @@
 //! the caller's concern (segments are wrapped in IPv4 or IPv6 outside).
 
 use v6wire::tcp::{TcpFlags, TcpSegment};
+use v6wire::view::TcpView;
 
 /// Maximum payload carried per segment (conservative IPv6 MSS).
 pub const SEGMENT_SIZE: usize = 1200;
@@ -117,8 +118,10 @@ impl TcpEndpoint {
         )
     }
 
-    /// Feed an incoming segment; returns segments to transmit in response.
-    pub fn on_segment(&mut self, seg: &TcpSegment) -> Vec<TcpSegment> {
+    /// Feed an incoming segment (a received view, or `&TcpSegment`);
+    /// returns the one segment to transmit in response, if any.
+    pub fn on_segment<'s>(&mut self, seg: impl Into<TcpView<'s>>) -> Option<TcpSegment> {
+        let seg = &seg.into();
         match self.state {
             TcpState::Listen => {
                 if seg.flags.syn && !seg.flags.ack {
@@ -136,79 +139,78 @@ impl TcpEndpoint {
                         TcpFlags::SYN_ACK,
                     );
                     synack.mss = Some(SEGMENT_SIZE as u16);
-                    vec![synack]
+                    Some(synack)
                 } else if seg.flags.rst {
-                    Vec::new()
+                    None
                 } else {
                     // Anything else to a listener: RST.
-                    vec![TcpSegment::new(
+                    Some(TcpSegment::new(
                         self.local_port,
                         seg.src_port,
                         seg.ack,
                         seg.seq.wrapping_add(seg.seq_len()),
                         TcpFlags::RST,
-                    )]
+                    ))
                 }
             }
             TcpState::SynSent => {
                 if seg.flags.rst {
                     self.state = TcpState::Closed;
-                    return Vec::new();
+                    return None;
                 }
                 if seg.flags.syn && seg.flags.ack && seg.ack == self.snd_nxt {
                     self.rcv_nxt = seg.seq.wrapping_add(1);
                     self.state = TcpState::Established;
-                    vec![self.seg(TcpFlags::ACK)]
+                    Some(self.seg(TcpFlags::ACK))
                 } else {
-                    Vec::new()
+                    None
                 }
             }
             TcpState::SynRcvd => {
                 if seg.flags.rst {
                     self.state = TcpState::Closed;
-                    return Vec::new();
+                    return None;
                 }
                 if seg.flags.ack && seg.ack == self.snd_nxt {
                     self.state = TcpState::Established;
                     // The ACK may carry data already.
                     return self.absorb(seg);
                 }
-                Vec::new()
+                None
             }
             TcpState::Established | TcpState::FinWait | TcpState::CloseWait => self.absorb(seg),
             TcpState::LastAck => {
                 if seg.flags.ack && seg.ack == self.snd_nxt {
                     self.state = TcpState::Closed;
                 }
-                Vec::new()
+                None
             }
             TcpState::Closed => {
                 if seg.flags.rst {
-                    Vec::new()
+                    None
                 } else {
-                    vec![TcpSegment::new(
+                    Some(TcpSegment::new(
                         self.local_port,
                         seg.src_port,
                         seg.ack,
                         seg.seq.wrapping_add(seg.seq_len()),
                         TcpFlags::RST,
-                    )]
+                    ))
                 }
             }
         }
     }
 
     /// Common data/FIN absorption for synchronized states.
-    fn absorb(&mut self, seg: &TcpSegment) -> Vec<TcpSegment> {
+    fn absorb(&mut self, seg: &TcpView<'_>) -> Option<TcpSegment> {
         if seg.flags.rst {
             self.state = TcpState::Closed;
-            return Vec::new();
+            return None;
         }
-        let mut replies = Vec::new();
         let mut advanced = false;
         if seg.seq == self.rcv_nxt {
             if !seg.payload.is_empty() {
-                self.received.extend_from_slice(&seg.payload);
+                self.received.extend_from_slice(seg.payload);
                 self.rcv_nxt = self.rcv_nxt.wrapping_add(seg.payload.len() as u32);
                 advanced = true;
             }
@@ -232,10 +234,7 @@ impl TcpEndpoint {
                 _ => {}
             }
         }
-        if advanced {
-            replies.push(self.seg(TcpFlags::ACK));
-        }
-        replies
+        advanced.then(|| self.seg(TcpFlags::ACK))
     }
 
     /// Send application data; returns the segments to transmit.
@@ -255,23 +254,17 @@ impl TcpEndpoint {
         out
     }
 
-    /// Close our direction; returns the FIN to transmit.
-    pub fn close(&mut self) -> Vec<TcpSegment> {
-        match self.state {
-            TcpState::Established => {
-                let fin = self.seg(TcpFlags::FIN_ACK);
-                self.snd_nxt = self.snd_nxt.wrapping_add(1);
-                self.state = TcpState::FinWait;
-                vec![fin]
-            }
-            TcpState::CloseWait => {
-                let fin = self.seg(TcpFlags::FIN_ACK);
-                self.snd_nxt = self.snd_nxt.wrapping_add(1);
-                self.state = TcpState::LastAck;
-                vec![fin]
-            }
-            _ => Vec::new(),
-        }
+    /// Close our direction; returns the FIN to transmit, if any.
+    pub fn close(&mut self) -> Option<TcpSegment> {
+        let next = match self.state {
+            TcpState::Established => TcpState::FinWait,
+            TcpState::CloseWait => TcpState::LastAck,
+            _ => return None,
+        };
+        let fin = self.seg(TcpFlags::FIN_ACK);
+        self.snd_nxt = self.snd_nxt.wrapping_add(1);
+        self.state = next;
+        Some(fin)
     }
 }
 
@@ -287,12 +280,12 @@ pub fn pump(a: &mut TcpEndpoint, b: &mut TcpEndpoint, in_flight: Vec<(bool, TcpS
         if budget == 0 {
             panic!("tcp pump did not converge");
         }
-        let replies = if to_b {
+        let reply = if to_b {
             b.on_segment(&seg)
         } else {
             a.on_segment(&seg)
         };
-        for r in replies {
+        if let Some(r) = reply {
             queue.push_back((!to_b, r));
         }
     }
@@ -377,11 +370,10 @@ mod tests {
             peer_closed: false,
         };
         let (mut client, syn) = TcpEndpoint::connect(50000, 80, 1);
-        let replies = closed.on_segment(&syn);
-        assert_eq!(replies.len(), 1);
-        assert!(replies[0].flags.rst);
-        let more = client.on_segment(&replies[0]);
-        assert!(more.is_empty());
+        let rst = closed.on_segment(&syn).expect("one reply");
+        assert!(rst.flags.rst);
+        let more = client.on_segment(&rst);
+        assert!(more.is_none());
         assert!(client.is_closed(), "RST kills the connect attempt");
     }
 
@@ -390,7 +382,7 @@ mod tests {
         // Client sends data immediately with the handshake-completing ACK.
         let mut server = TcpEndpoint::listen(80);
         let (mut client, syn) = TcpEndpoint::connect(50000, 80, 7);
-        let synack = server.on_segment(&syn).remove(0);
+        let synack = server.on_segment(&syn).expect("syn-ack");
         let _ack = client.on_segment(&synack);
         let mut data_segs = client.send(b"hi");
         // Deliver only the data segment (drop the pure ACK) — server must
@@ -405,8 +397,8 @@ mod tests {
     fn stray_segment_to_listener_rst() {
         let mut server = TcpEndpoint::listen(80);
         let stray = TcpSegment::new(1234, 80, 55, 0, TcpFlags::PSH_ACK);
-        let replies = server.on_segment(&stray);
-        assert!(replies[0].flags.rst);
+        let reply = server.on_segment(&stray).expect("rst");
+        assert!(reply.flags.rst);
         assert_eq!(server.state, TcpState::Listen);
     }
 }

@@ -6,25 +6,23 @@ use std::any::Any;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 use v6addr::prefix::{Ipv4Prefix, Ipv6Prefix};
 use v6dhcp::server::{DhcpServer, ServerConfig};
-use v6dns::codec::Message as DnsMessage;
+use v6dns::codec::{Message as DnsMessage, Rcode};
 use v6dns::dns64::Dns64;
 use v6dns::edns;
 use v6dns::poison::{PoisonPolicy, PoisonedResolver};
 use v6dns::server::{CachingResolver, GlobalDns, Resolver};
+use v6dns::view::{MessageView, NameMemo};
 use v6sim::engine::{Ctx, Node};
 use v6sim::tcp::TcpEndpoint;
 use v6wire::arp::{ArpOp, ArpPacket};
-use v6wire::ethernet::{EtherType, EthernetFrame};
+use v6wire::emit::{self, Ip};
 use v6wire::fasthash::FastMap;
 use v6wire::icmpv6::Icmpv6Message;
-use v6wire::ipv4::{proto, Ipv4Packet};
-use v6wire::ipv6::Ipv6Packet;
 use v6wire::mac::MacAddr;
 use v6wire::ndp::{NdpOption, NeighborAdvertisement};
-use v6wire::packet::{build_arp, build_icmpv6};
 use v6wire::tcp::TcpSegment;
-use v6wire::udp::{port, UdpDatagram};
-use v6wire::view::{FrameView, Icmp6View, L3View, L4View};
+use v6wire::udp::port;
+use v6wire::view::{FrameView, Icmp6View, L3View, L4View, TcpView};
 
 /// The healthy DNS64 resolver stack the Pi serves over IPv6.
 pub type HealthyResolver = CachingResolver<Dns64<GlobalDns>>;
@@ -74,6 +72,8 @@ pub struct PiServer {
     /// Queries served over TCP (truncation fallback).
     pub tcp_queries: u64,
     tcp_flows: FastMap<DnsFlowId, DnsServerFlow>,
+    /// Question names built once and reused across queries and cells.
+    names: NameMemo,
 }
 
 impl PiServer {
@@ -96,6 +96,7 @@ impl PiServer {
             enabled: true,
             tcp_queries: 0,
             tcp_flows: FastMap::default(),
+            names: NameMemo::default(),
         }
     }
 
@@ -136,20 +137,20 @@ impl PiServer {
         self.tcp_flows.clear();
     }
 
-    /// Resolve `msg` and shape the response. `udp_limit` is the transport
-    /// ceiling for a UDP reply (`None` over TCP): a response that would
-    /// not fit is emptied and flagged TC (RFC 6891 §7) so the stub can
-    /// retry over TCP. A classified resolution failure travels back as an
-    /// RFC 8914 Extended DNS Error in the additional section.
+    /// Resolve the first question of `query` and shape the response. A
+    /// classified resolution failure travels back as an RFC 8914 Extended
+    /// DNS Error in the additional section. `None` when the query asks
+    /// nothing.
     fn answer(
         resolver: &mut dyn Resolver,
-        msg: &DnsMessage,
+        names: &mut NameMemo,
+        query: &MessageView<'_>,
         now: u64,
-        udp_limit: Option<usize>,
-    ) -> DnsMessage {
-        let q = msg.questions[0].clone();
+    ) -> Option<DnsMessage> {
+        let mut resp = query.response(Rcode::NoError, names);
+        let q = resp.questions.first()?.clone();
         let ans = resolver.resolve(&q, now);
-        let mut resp = DnsMessage::response_to(msg, ans.rcode);
+        resp.rcode = ans.rcode;
         resp.answers = ans.records;
         if let Some(soa) = ans.soa {
             resp.authorities.push(soa);
@@ -160,28 +161,61 @@ impl PiServer {
                 &[edns::ede_option(reason.ede_code(), reason.label())],
             ));
         }
-        if let Some(limit) = udp_limit {
-            if resp.encode().len() > limit {
-                resp.truncated = true;
-                resp.answers.clear();
-                resp.authorities.clear();
-            }
+        Some(resp)
+    }
+
+    /// Encode `resp` once, straight into `out`. `udp_limit` is the
+    /// transport ceiling for a UDP reply (`None` over TCP): a response
+    /// that does not fit is re-encoded emptied and flagged TC (RFC 6891
+    /// §7) so the stub can retry over TCP.
+    fn encode_response(mut resp: DnsMessage, udp_limit: Option<usize>, out: &mut Vec<u8>) {
+        let start = out.len();
+        resp.encode_into(out);
+        if udp_limit.is_some_and(|limit| out.len() - start > limit) {
+            out.truncate(start);
+            resp.truncated = true;
+            resp.answers.clear();
+            resp.authorities.clear();
+            resp.encode_into(out);
         }
-        resp
     }
 
     /// The UDP size ceiling a query grants its response: the EDNS0
     /// advertised payload size, or the classic 512-octet limit when the
     /// query carries no OPT.
-    fn udp_limit(msg: &DnsMessage) -> usize {
-        edns::advertised_payload_size(msg).unwrap_or(edns::CLASSIC_UDP_LIMIT)
+    fn udp_limit(query: &MessageView<'_>) -> usize {
+        edns::advertised_payload_size(query).unwrap_or(edns::CLASSIC_UDP_LIMIT)
+    }
+
+    /// Answer a UDP DNS query read through `query` with one frame back to
+    /// the asker: resolved, encoded once into the frame, truncated to the
+    /// query's size ceiling.
+    fn udp_reply(
+        (resolver, names): (&mut dyn Resolver, &mut NameMemo),
+        query: &MessageView<'_>,
+        now: u64,
+        macs: (MacAddr, MacAddr),
+        ip: Ip,
+        dst_port: u16,
+    ) -> Option<Vec<u8>> {
+        let limit = Self::udp_limit(query);
+        let resp = Self::answer(resolver, names, query, now)?;
+        Some(emit::udp_with(
+            macs.0,
+            macs.1,
+            ip,
+            port::DNS,
+            dst_port,
+            edns::CLASSIC_UDP_LIMIT,
+            |out| Self::encode_response(resp, Some(limit), out),
+        ))
     }
 
     fn on_tcp_dns(
         &mut self,
         local: IpAddr,
         remote: IpAddr,
-        seg: TcpSegment,
+        seg: &TcpView<'_>,
         reply_mac: MacAddr,
         now: u64,
         ctx: &mut Ctx,
@@ -195,9 +229,9 @@ impl PiServer {
             ep: TcpEndpoint::listen(port::DNS),
             responded: false,
         });
-        let replies = flow.ep.on_segment(&seg);
+        let reply = flow.ep.on_segment(*seg);
         let closed = flow.ep.is_closed();
-        for r in replies {
+        if let Some(r) = reply {
             self.send_tcp_segment(id, r, reply_mac, ctx);
         }
         self.serve_tcp_dns(id, reply_mac, now, ctx);
@@ -224,18 +258,24 @@ impl PiServer {
         if buf.len() < 2 + want {
             return; // still streaming in
         }
-        let Ok(msg) = DnsMessage::decode(&buf[2..2 + want]) else {
+        let Ok(query) = MessageView::parse(&buf[2..2 + want]) else {
             self.tcp_flows.remove(&id);
             return;
         };
         self.tcp_queries += 1;
-        let resp = match id.local {
-            IpAddr::V6(_) => Self::answer(&mut self.healthy, &msg, now, None),
-            IpAddr::V4(_) => Self::answer(&mut self.poisoned, &msg, now, None),
+        let resolver: &mut dyn Resolver = match id.local {
+            IpAddr::V6(_) => &mut self.healthy,
+            IpAddr::V4(_) => &mut self.poisoned,
         };
-        let payload = resp.encode();
-        let mut framed = (payload.len() as u16).to_be_bytes().to_vec();
-        framed.extend_from_slice(&payload);
+        let Some(resp) = Self::answer(resolver, &mut self.names, &query, now) else {
+            self.tcp_flows.remove(&id);
+            return;
+        };
+        // Two-octet length prefix, then the message (RFC 1035 §4.2.2).
+        let mut framed = vec![0, 0];
+        Self::encode_response(resp, None, &mut framed);
+        let len = (framed.len() - 2) as u16;
+        framed[..2].copy_from_slice(&len.to_be_bytes());
         let flow = self.tcp_flows.get_mut(&id).expect("present");
         flow.responded = true;
         let mut segs = flow.ep.send(&framed);
@@ -246,18 +286,8 @@ impl PiServer {
     }
 
     fn send_tcp_segment(&self, id: DnsFlowId, seg: TcpSegment, dst_mac: MacAddr, ctx: &mut Ctx) {
-        match (id.local, id.remote) {
-            (IpAddr::V6(l), IpAddr::V6(r)) => {
-                let pkt = Ipv6Packet::new(l, r, proto::TCP, seg.encode_v6(l, r));
-                let frame = EthernetFrame::new(dst_mac, self.mac, EtherType::Ipv6, pkt.encode());
-                ctx.send(0, frame.encode());
-            }
-            (IpAddr::V4(l), IpAddr::V4(r)) => {
-                let pkt = Ipv4Packet::new(l, r, proto::TCP, seg.encode_v4(l, r));
-                let frame = EthernetFrame::new(dst_mac, self.mac, EtherType::Ipv4, pkt.encode());
-                ctx.send(0, frame.encode());
-            }
-            _ => {}
+        if let Some(ip) = Ip::between(id.local, id.remote) {
+            ctx.send(0, emit::tcp(dst_mac, self.mac, ip, &seg));
         }
     }
 }
@@ -305,52 +335,47 @@ impl Node for PiServer {
                 });
                 ctx.send(
                     0,
-                    build_icmpv6(self.mac, parsed.eth.src, *target, ip.src, &na),
+                    emit::icmpv6(parsed.eth.src, self.mac, Ip::v6(*target, ip.src), &na),
                 );
             }
             (L3View::V6(ip), L4View::Udp(udp))
                 if ip.dst == self.v6 && udp.dst_port == port::DNS =>
             {
-                if let Ok(msg) = DnsMessage::decode(udp.payload) {
+                if let Ok(query) = MessageView::parse(udp.payload) {
                     self.v6_queries += 1;
-                    let limit = Self::udp_limit(&msg);
-                    let resp = Self::answer(&mut self.healthy, &msg, now, Some(limit));
-                    let d = UdpDatagram::new(port::DNS, udp.src_port, resp.encode());
-                    ctx.send(
-                        0,
-                        v6wire::packet::build_udp_v6(self.mac, parsed.eth.src, self.v6, ip.src, &d),
-                    );
+                    let macs = (parsed.eth.src, self.mac);
+                    let ip = Ip::v6(self.v6, ip.src);
+                    let server = (&mut self.healthy as &mut dyn Resolver, &mut self.names);
+                    if let Some(f) = Self::udp_reply(server, &query, now, macs, ip, udp.src_port) {
+                        ctx.send(0, f);
+                    }
                 }
             }
             (L3View::V4(ip), L4View::Udp(udp))
                 if ip.dst == self.v4 && udp.dst_port == port::DNS =>
             {
-                if let Ok(msg) = DnsMessage::decode(udp.payload) {
+                if let Ok(query) = MessageView::parse(udp.payload) {
                     self.v4_queries += 1;
-                    let limit = Self::udp_limit(&msg);
-                    let resp = Self::answer(&mut self.poisoned, &msg, now, Some(limit));
-                    let d = UdpDatagram::new(port::DNS, udp.src_port, resp.encode());
-                    ctx.send(
-                        0,
-                        v6wire::packet::build_udp_v4(self.mac, parsed.eth.src, self.v4, ip.src, &d),
-                    );
+                    let macs = (parsed.eth.src, self.mac);
+                    let ip = Ip::v4(self.v4, ip.src);
+                    let server = (&mut self.poisoned as &mut dyn Resolver, &mut self.names);
+                    if let Some(f) = Self::udp_reply(server, &query, now, macs, ip, udp.src_port) {
+                        ctx.send(0, f);
+                    }
                 }
             }
             (L3View::V4(_), L4View::Udp(udp)) if udp.dst_port == port::DHCP_SERVER => {
                 if let Some(dhcp) = &mut self.dhcp {
                     if let Ok(msg) = v6dhcp::codec::DhcpMessage::decode(udp.payload) {
                         if let Some(reply) = dhcp.handle(&msg, now) {
-                            let d = UdpDatagram::new(
+                            let frame = emit::udp_with(
+                                msg.chaddr,
+                                self.mac,
+                                Ip::v4(dhcp.config.server_id, Ipv4Addr::BROADCAST),
                                 port::DHCP_SERVER,
                                 port::DHCP_CLIENT,
-                                reply.encode(),
-                            );
-                            let frame = v6wire::packet::build_udp_v4(
-                                self.mac,
-                                msg.chaddr,
-                                dhcp.config.server_id,
-                                Ipv4Addr::BROADCAST,
-                                &d,
+                                300,
+                                |out| reply.encode_into(out),
                             );
                             ctx.send(0, frame);
                         }
@@ -363,7 +388,7 @@ impl Node for PiServer {
                 self.on_tcp_dns(
                     IpAddr::V6(ip.dst),
                     IpAddr::V6(ip.src),
-                    seg.to_segment(),
+                    seg,
                     parsed.eth.src,
                     now,
                     ctx,
@@ -375,7 +400,7 @@ impl Node for PiServer {
                 self.on_tcp_dns(
                     IpAddr::V4(ip.dst),
                     IpAddr::V4(ip.src),
-                    seg.to_segment(),
+                    seg,
                     parsed.eth.src,
                     now,
                     ctx,
@@ -383,7 +408,7 @@ impl Node for PiServer {
             }
             (L3View::Arp(arp), _) if arp.op == ArpOp::Request && arp.target_ip == self.v4 => {
                 let reply = ArpPacket::reply_to(arp, self.mac);
-                ctx.send(0, build_arp(self.mac, arp.sender_mac, &reply));
+                ctx.send(0, emit::arp(arp.sender_mac, self.mac, &reply));
             }
             _ => {}
         }
@@ -405,6 +430,8 @@ pub struct PublicDns {
     resolver: CachingResolver<GlobalDns>,
     /// Queries served.
     pub queries: u64,
+    /// Question names built once and reused across queries and cells.
+    names: NameMemo,
 }
 
 impl PublicDns {
@@ -418,6 +445,7 @@ impl PublicDns {
                 .expect("static ip"),
             resolver: CachingResolver::new(internet_dns()),
             queries: 0,
+            names: NameMemo::default(),
         }
     }
 
@@ -454,16 +482,17 @@ impl Node for PublicDns {
         };
         if let (L3View::V4(ip), L4View::Udp(udp)) = (&parsed.l3, &parsed.l4) {
             if ip.dst == self.v4 && udp.dst_port == port::DNS {
-                if let Ok(msg) = DnsMessage::decode(udp.payload) {
+                if let Ok(query) = MessageView::parse(udp.payload) {
                     self.queries += 1;
-                    let limit = PiServer::udp_limit(&msg);
-                    let resp =
-                        PiServer::answer(&mut self.resolver, &msg, ctx.now.as_secs(), Some(limit));
-                    let d = UdpDatagram::new(port::DNS, udp.src_port, resp.encode());
-                    ctx.send(
-                        0,
-                        v6wire::packet::build_udp_v4(self.mac, parsed.eth.src, self.v4, ip.src, &d),
-                    );
+                    let now = ctx.now.as_secs();
+                    let macs = (parsed.eth.src, self.mac);
+                    let ip = Ip::v4(self.v4, ip.src);
+                    let server = (&mut self.resolver as &mut dyn Resolver, &mut self.names);
+                    if let Some(f) =
+                        PiServer::udp_reply(server, &query, now, macs, ip, udp.src_port)
+                    {
+                        ctx.send(0, f);
+                    }
                 }
             }
         }
@@ -570,7 +599,7 @@ impl Node for InternetRouter {
 mod tests {
     use super::*;
     use crate::zones::delegated_internet_dns;
-    use v6dns::codec::{Question, RData, RType, Rcode};
+    use v6dns::codec::{Question, RData, RType};
     use v6dns::server::ResolutionFailure;
     use v6dns::DnsName;
 
@@ -582,15 +611,27 @@ mod tests {
         DnsMessage::query(7, Question::new(n(name), rtype))
     }
 
+    /// Ask `resolver` over the wire path: encode, view, answer, encode
+    /// under the UDP ceiling (or none), decode what the stub would see.
+    fn ask(resolver: &mut dyn Resolver, q: &DnsMessage, udp: bool) -> DnsMessage {
+        let bytes = q.encode();
+        let view = MessageView::parse(&bytes).unwrap();
+        let limit = udp.then(|| PiServer::udp_limit(&view));
+        let resp = PiServer::answer(resolver, &mut NameMemo::default(), &view, 0).unwrap();
+        let mut out = Vec::new();
+        PiServer::encode_response(resp, limit, &mut out);
+        DnsMessage::decode(&out).unwrap()
+    }
+
     #[test]
     fn classified_failure_travels_as_ede() {
         let mut pi = PiServer::new(PoisonPolicy::Off, true);
         pi.install_global_dns(delegated_internet_dns());
         let q = query("sc24.supercomputing.org", RType::Aaaa);
-        let resp = PiServer::answer(&mut pi.healthy, &q, 0, Some(PiServer::udp_limit(&q)));
+        let resp = ask(&mut pi.healthy, &q, true);
         assert_eq!(resp.rcode, Rcode::ServFail);
         assert_eq!(
-            edns::failure_of(&resp),
+            edns::failure_of(&MessageView::parse(&resp.encode()).unwrap()),
             Some(ResolutionFailure::NoAaaaGlue),
             "the stub learns *why*, not just SERVFAIL"
         );
@@ -602,7 +643,7 @@ mod tests {
         pi.install_global_dns(delegated_internet_dns());
         pi.reset();
         let q = query("sc24.supercomputing.org", RType::Aaaa);
-        let resp = PiServer::answer(&mut pi.healthy, &q, 0, Some(PiServer::udp_limit(&q)));
+        let resp = ask(&mut pi.healthy, &q, true);
         // DNS64 synthesis works again: flat zones restored, warm cell
         // equivalent to a cold build.
         assert_eq!(resp.rcode, Rcode::NoError);
@@ -622,7 +663,7 @@ mod tests {
         let mut pi = PiServer::new(PoisonPolicy::Off, true);
         pi.install_global_dns(g);
         let q = query("big.test", RType::Txt);
-        let resp = PiServer::answer(&mut pi.healthy, &q, 0, Some(PiServer::udp_limit(&q)));
+        let resp = ask(&mut pi.healthy, &q, true);
         assert!(resp.truncated, "TC set");
         assert!(
             resp.answers.is_empty(),
@@ -635,17 +676,12 @@ mod tests {
         q_edns
             .additionals
             .push(edns::opt_record(edns::DEFAULT_PAYLOAD_SIZE, &[]));
-        let resp = PiServer::answer(
-            &mut pi.healthy,
-            &q_edns,
-            0,
-            Some(PiServer::udp_limit(&q_edns)),
-        );
+        let resp = ask(&mut pi.healthy, &q_edns, true);
         assert!(!resp.truncated);
         assert!(!resp.answers.is_empty());
 
         // And over TCP there is no ceiling at all.
-        let resp = PiServer::answer(&mut pi.healthy, &q, 0, None);
+        let resp = ask(&mut pi.healthy, &q, false);
         assert!(!resp.truncated);
         assert!(!resp.answers.is_empty());
     }

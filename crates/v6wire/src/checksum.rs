@@ -1,90 +1,29 @@
 //! The internet checksum (RFC 1071) and the IPv4/IPv6 pseudo-headers used by
 //! UDP, TCP, ICMPv4 and ICMPv6, plus the incremental-update rule (RFC 1624)
-//! that the SIIT translator in `v6xlat` relies on.
+//! that the in-place NAT and SIIT rewrites rely on.
 //!
-//! Large even-aligned spans are summed by a wide-lane SWAR kernel (eight
-//! bytes per step, two masked `u64` lane accumulators) selected at runtime;
-//! `SC24_CHECKSUM_KERNEL=scalar|swar` forces a kernel, and
-//! [`checksum_with`] exposes both for differential testing. Because the
-//! ones'-complement sum is a fold of a plain integer sum, the kernels are
-//! bit-for-bit interchangeable — `tests/conformance.rs` proves it on the
-//! committed corpus and on random slices.
+//! Bulk spans are summed four bytes at a time: each big-endian `u32` word
+//! is added into a `u64`, and [`Checksum::finish`] folds the carries. This
+//! equals the RFC 1071 sum of 16-bit words because `2^16 ≡ 1 (mod 2^16 - 1)`,
+//! and a `u64` cannot overflow before 2^32 words (16 GiB). The two-bytes-
+//! per-step loop survives only as [`checksum_reference`], the differential
+//! reference `tests/conformance.rs` compares against on every prefix and
+//! suffix of the committed corpus and on random slices.
 
 use std::net::{Ipv4Addr, Ipv6Addr};
-use std::sync::OnceLock;
 
-/// Which summation kernel to use for bulk spans.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Kernel {
-    /// Two bytes per step (`u16` words), the reference implementation.
-    Scalar,
-    /// Eight bytes per step: big-endian `u64` loads split into two masked
-    /// 16-bit lane accumulators (SWAR), folded into the running sum per
-    /// block.
-    Swar,
-}
-
-/// The kernel used by [`Checksum::push`] and [`checksum`], resolved once per
-/// process: `SC24_CHECKSUM_KERNEL=scalar|swar` overrides, default [`Kernel::Swar`].
-pub fn active_kernel() -> Kernel {
-    static ACTIVE: OnceLock<Kernel> = OnceLock::new();
-    *ACTIVE.get_or_init(
-        || match std::env::var("SC24_CHECKSUM_KERNEL").ok().as_deref() {
-            Some("scalar") => Kernel::Scalar,
-            _ => Kernel::Swar,
-        },
-    )
-}
-
-/// SWAR is only worth the lane bookkeeping beyond this many bytes; below it
-/// the scalar loop wins on setup cost. Chosen so 16-byte spans — an IPv6
-/// address pushed into a pseudo-header sum — already take the wide path
-/// (two chunks amortize the lane fold), while 8-byte UDP headers and
-/// smaller fragments stay scalar.
-const SWAR_MIN_BYTES: usize = 16;
-
-/// Max 8-byte chunks accumulated before lanes are flushed into the `u64`
-/// running sum. Each 16-bit lane has 16 bits of headroom, so up to 2^16 - 1
-/// chunk additions can never carry across lanes.
-const SWAR_BLOCK_CHUNKS: usize = 0xffff;
-
-const LANE_MASK: u64 = 0x0000_ffff_0000_ffff;
-
-/// Sum `data` (even length) as big-endian 16-bit words using the SWAR
-/// kernel, returning the plain (unfolded) integer sum.
-fn sum_words_swar(data: &[u8]) -> u64 {
+/// Sum `data` (even length) as big-endian 32-bit words plus a trailing
+/// 16-bit word, returning the plain (unfolded) integer sum.
+#[inline(always)]
+fn sum_words(data: &[u8]) -> u64 {
     debug_assert_eq!(data.len() % 2, 0);
     let mut total: u64 = 0;
-    let mut chunks = data.chunks_exact(8);
-    let mut lo: u64 = 0;
-    let mut hi: u64 = 0;
-    let mut in_block = 0usize;
-    for chunk in &mut chunks {
-        let v = u64::from_be_bytes(chunk.try_into().expect("8-byte chunk"));
-        lo += v & LANE_MASK;
-        hi += (v >> 16) & LANE_MASK;
-        in_block += 1;
-        if in_block == SWAR_BLOCK_CHUNKS {
-            total += (lo & 0xffff_ffff) + (lo >> 32) + (hi & 0xffff_ffff) + (hi >> 32);
-            lo = 0;
-            hi = 0;
-            in_block = 0;
-        }
+    let mut words = data.chunks_exact(4);
+    for w in &mut words {
+        total += u64::from(u32::from_be_bytes([w[0], w[1], w[2], w[3]]));
     }
-    total += (lo & 0xffff_ffff) + (lo >> 32) + (hi & 0xffff_ffff) + (hi >> 32);
-    for pair in chunks.remainder().chunks_exact(2) {
-        total += u64::from(u16::from_be_bytes([pair[0], pair[1]]));
-    }
-    total
-}
-
-/// Sum `data` (even length) as big-endian 16-bit words with the scalar
-/// reference loop.
-fn sum_words_scalar(data: &[u8]) -> u64 {
-    debug_assert_eq!(data.len() % 2, 0);
-    let mut total: u64 = 0;
-    for pair in data.chunks_exact(2) {
-        total += u64::from(u16::from_be_bytes([pair[0], pair[1]]));
+    if let [a, b] = *words.remainder() {
+        total += u64::from(u16::from_be_bytes([a, b]));
     }
     total
 }
@@ -94,25 +33,11 @@ fn sum_words_scalar(data: &[u8]) -> u64 {
 /// Feed arbitrary byte slices (odd lengths allowed; a trailing odd byte is
 /// padded with zero exactly as RFC 1071 specifies), then call
 /// [`Checksum::finish`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Checksum {
     sum: u64,
     /// Pending odd byte from a previous `push` whose slice had odd length.
     pending: Option<u8>,
-    /// Kernel resolved once at construction: the process-wide `OnceLock`
-    /// load is an atomic op per call, which is measurable when every
-    /// simulated frame pushes its pseudo-header in 2-byte pieces.
-    kernel: Kernel,
-}
-
-impl Default for Checksum {
-    fn default() -> Self {
-        Self {
-            sum: 0,
-            pending: None,
-            kernel: active_kernel(),
-        }
-    }
 }
 
 impl Checksum {
@@ -121,14 +46,9 @@ impl Checksum {
         Self::default()
     }
 
-    /// Add `data` to the running sum using the process-wide kernel.
+    /// Add `data` to the running sum.
     #[inline]
     pub fn push(&mut self, data: &[u8]) {
-        self.push_with(self.kernel, data);
-    }
-
-    /// Add `data` to the running sum with an explicit kernel.
-    pub fn push_with(&mut self, kernel: Kernel, data: &[u8]) {
         let mut chunks = data;
         if let Some(hi) = self.pending.take() {
             if chunks.is_empty() {
@@ -140,10 +60,7 @@ impl Checksum {
         }
         let even = chunks.len() & !1;
         let (body, tail) = chunks.split_at(even);
-        self.sum += match kernel {
-            Kernel::Swar if body.len() >= SWAR_MIN_BYTES => sum_words_swar(body),
-            _ => sum_words_scalar(body),
-        };
+        self.sum += sum_words(body);
         if let [last] = tail {
             self.pending = Some(*last);
         }
@@ -184,17 +101,29 @@ impl Checksum {
     }
 }
 
-/// One-shot checksum of a byte slice using the process-wide kernel.
+/// One-shot checksum of a byte slice.
 pub fn checksum(data: &[u8]) -> u16 {
-    checksum_with(active_kernel(), data)
+    let mut c = Checksum::new();
+    c.push(data);
+    c.finish()
 }
 
-/// One-shot checksum of a byte slice with an explicit kernel — the
-/// differential-testing entry point.
-pub fn checksum_with(kernel: Kernel, data: &[u8]) -> u16 {
-    let mut c = Checksum::new();
-    c.push_with(kernel, data);
-    c.finish()
+/// One-shot checksum with the two-bytes-per-step RFC 1071 loop — the
+/// reference the word kernel is differentially tested against, never used
+/// on a hot path.
+pub fn checksum_reference(data: &[u8]) -> u16 {
+    let mut sum: u64 = 0;
+    let mut words = data.chunks_exact(2);
+    for w in &mut words {
+        sum += u64::from(u16::from_be_bytes([w[0], w[1]]));
+    }
+    if let [last] = *words.remainder() {
+        sum += u64::from(u16::from_be_bytes([last, 0]));
+    }
+    while sum >> 16 != 0 {
+        sum = (sum & 0xffff) + (sum >> 16);
+    }
+    !(sum as u16)
 }
 
 /// Start an accumulator pre-loaded with the IPv4 pseudo-header
@@ -289,40 +218,28 @@ mod tests {
     }
 
     #[test]
-    fn kernels_agree_on_all_lengths() {
-        // Every length 0..200 with varied content, including lengths around
-        // the SWAR threshold and non-multiple-of-8 tails.
+    fn word_kernel_matches_reference_on_all_lengths() {
+        // Every length 0..200 with varied content, covering every
+        // remainder of the 4-byte stride and odd tails.
         let data: Vec<u8> = (0..200u32)
             .map(|i| (i.wrapping_mul(37) ^ 0x5a) as u8)
             .collect();
         for len in 0..=data.len() {
             assert_eq!(
-                checksum_with(Kernel::Scalar, &data[..len]),
-                checksum_with(Kernel::Swar, &data[..len]),
+                checksum(&data[..len]),
+                checksum_reference(&data[..len]),
                 "len {len}"
             );
         }
     }
 
     #[test]
-    fn kernels_agree_on_saturating_content() {
-        // All-0xff content maximizes per-lane carries.
-        let data = vec![0xffu8; 4096];
-        assert_eq!(
-            checksum_with(Kernel::Scalar, &data),
-            checksum_with(Kernel::Swar, &data)
-        );
-    }
-
-    #[test]
-    fn swar_block_flush_is_exact() {
-        // Past one SWAR block (0xffff chunks = 524 280 bytes) the lane
-        // accumulators must flush without losing carries.
-        let data = vec![0xffu8; SWAR_BLOCK_CHUNKS * 8 + 16];
-        assert_eq!(
-            checksum_with(Kernel::Scalar, &data),
-            checksum_with(Kernel::Swar, &data)
-        );
+    fn word_kernel_matches_reference_on_saturating_content() {
+        // All-0xff content maximizes carries out of every word.
+        for len in [4096usize, 65_536 + 6, 1 << 20] {
+            let data = vec![0xffu8; len];
+            assert_eq!(checksum(&data), checksum_reference(&data), "len {len}");
+        }
     }
 
     #[test]

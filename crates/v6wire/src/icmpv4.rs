@@ -45,6 +45,13 @@ impl Icmpv4Message {
     /// Serialize with checksum.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Append the checksummed wire form to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let start = out.len();
         match self {
             Icmpv4Message::EchoRequest {
                 ident,
@@ -83,9 +90,8 @@ impl Icmpv4Message {
                 out.extend_from_slice(invoking);
             }
         }
-        let ck = checksum(&out);
-        out[2..4].copy_from_slice(&ck.to_be_bytes());
-        out
+        let ck = checksum(&out[start..]);
+        out[start + 2..start + 4].copy_from_slice(&ck.to_be_bytes());
     }
 
     /// Parse and verify checksum.

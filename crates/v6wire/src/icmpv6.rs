@@ -51,6 +51,13 @@ impl Icmpv6Message {
     /// Serialize with the pseudo-header checksum for `src`→`dst`.
     pub fn encode(&self, src: Ipv6Addr, dst: Ipv6Addr) -> Vec<u8> {
         let mut out = Vec::new();
+        self.encode_into(&mut out, src, dst);
+        out
+    }
+
+    /// Append the wire form, checksummed for `src`→`dst`, to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>, src: Ipv6Addr, dst: Ipv6Addr) {
+        let start = out.len();
         match self {
             Icmpv6Message::DestinationUnreachable { code, invoking } => {
                 out.extend_from_slice(&[1, *code, 0, 0, 0, 0, 0, 0]);
@@ -79,18 +86,18 @@ impl Icmpv6Message {
             Icmpv6Message::RouterSolicitation(rs) => {
                 out.extend_from_slice(&[133, 0, 0, 0, 0, 0, 0, 0]);
                 for opt in &rs.options {
-                    opt.encode(&mut out);
+                    opt.encode(out);
                 }
             }
             Icmpv6Message::RouterAdvertisement(ra) => {
                 out.extend_from_slice(&[134, 0, 0, 0]);
-                ra.encode_body(&mut out);
+                ra.encode_body(out);
             }
             Icmpv6Message::NeighborSolicitation(ns) => {
                 out.extend_from_slice(&[135, 0, 0, 0, 0, 0, 0, 0]);
                 out.extend_from_slice(&ns.target.octets());
                 for opt in &ns.options {
-                    opt.encode(&mut out);
+                    opt.encode(out);
                 }
             }
             Icmpv6Message::NeighborAdvertisement(na) => {
@@ -109,15 +116,27 @@ impl Icmpv6Message {
                 out.extend_from_slice(&[0, 0, 0]);
                 out.extend_from_slice(&na.target.octets());
                 for opt in &na.options {
-                    opt.encode(&mut out);
+                    opt.encode(out);
                 }
             }
         }
-        let mut ck = pseudo_v6(src, dst, crate::ipv4::proto::ICMPV6, out.len() as u32);
-        ck.push(&out);
+        let len = out.len() - start;
+        let mut ck = pseudo_v6(src, dst, crate::ipv4::proto::ICMPV6, len as u32);
+        ck.push(&out[start..]);
         let sum = ck.finish();
-        out[2..4].copy_from_slice(&sum.to_be_bytes());
-        out
+        out[start + 2..start + 4].copy_from_slice(&sum.to_be_bytes());
+    }
+
+    /// True for the four NDP messages, which RFC 4861 §7.1 requires to
+    /// travel with hop limit 255.
+    pub fn is_ndp(&self) -> bool {
+        matches!(
+            self,
+            Icmpv6Message::RouterSolicitation(_)
+                | Icmpv6Message::RouterAdvertisement(_)
+                | Icmpv6Message::NeighborSolicitation(_)
+                | Icmpv6Message::NeighborAdvertisement(_)
+        )
     }
 
     /// Parse and verify against the pseudo-header for `src`→`dst`.

@@ -133,18 +133,6 @@ impl Ipv4Packet {
             payload: buf[ihl..total_len].to_vec(),
         })
     }
-
-    /// Copy with TTL decremented (router forwarding). Returns `None` when the
-    /// TTL would hit zero, in which case the router must drop (and would send
-    /// an ICMP time-exceeded in a full implementation).
-    pub fn forwarded(&self) -> Option<Ipv4Packet> {
-        if self.ttl <= 1 {
-            return None;
-        }
-        let mut p = self.clone();
-        p.ttl -= 1;
-        Some(p)
-    }
 }
 
 #[cfg(test)]
@@ -194,14 +182,5 @@ mod tests {
         bytes.extend_from_slice(&[0u8; 10]); // pad
         let q = Ipv4Packet::decode(&bytes).unwrap();
         assert_eq!(q.payload, p.payload);
-    }
-
-    #[test]
-    fn ttl_forwarding() {
-        let mut p = sample();
-        p.ttl = 2;
-        let f = p.forwarded().unwrap();
-        assert_eq!(f.ttl, 1);
-        assert!(f.forwarded().is_none());
     }
 }

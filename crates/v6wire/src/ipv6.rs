@@ -90,16 +90,6 @@ impl Ipv6Packet {
             payload: buf[Self::HEADER_LEN..Self::HEADER_LEN + payload_len].to_vec(),
         })
     }
-
-    /// Copy with hop limit decremented; `None` when it would hit zero.
-    pub fn forwarded(&self) -> Option<Ipv6Packet> {
-        if self.hop_limit <= 1 {
-            return None;
-        }
-        let mut p = self.clone();
-        p.hop_limit -= 1;
-        Some(p)
-    }
 }
 
 #[cfg(test)]
@@ -152,12 +142,5 @@ mod tests {
             Ipv6Packet::decode(&bytes),
             Err(WireError::BadLength { .. })
         ));
-    }
-
-    #[test]
-    fn hop_limit_forwarding() {
-        let mut p = sample();
-        p.hop_limit = 1;
-        assert!(p.forwarded().is_none());
     }
 }

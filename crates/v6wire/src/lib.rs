@@ -9,10 +9,10 @@
 //! * UDP ([`udp`]) and TCP segments ([`tcp`])
 //! * ICMPv4 ([`icmpv4`]) and ICMPv6 including the full NDP message set with
 //!   PIO / RDNSS / DNSSL / MTU options ([`icmpv6`], [`ndp`])
-//! * The internet checksum and v4/v6 pseudo-headers ([`checksum`]), with a
-//!   runtime-dispatched scalar/SWAR kernel pair
-//! * Borrowed zero-copy frame views ([`view`]), differentially tested
-//!   against the owned decoders by `tests/conformance.rs`
+//! * The internet checksum and v4/v6 pseudo-headers ([`checksum`])
+//! * Borrowed zero-copy frame views ([`view`]) and the one-pass frame
+//!   emitter ([`emit`]), differentially tested against the owned codecs by
+//!   `tests/conformance.rs`
 //!
 //! Every codec is a pure function over byte slices: `encode` appends to a
 //! `Vec<u8>`, `decode` borrows from a `&[u8]` and never allocates unless the
@@ -28,6 +28,7 @@
 pub mod arp;
 pub mod checksum;
 pub mod clamp;
+pub mod emit;
 pub mod ethernet;
 pub mod fasthash;
 pub mod icmpv4;

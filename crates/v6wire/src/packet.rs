@@ -1,10 +1,11 @@
 //! Layered frame parsing and building conveniences.
 //!
-//! The simulator moves raw `Vec<u8>` Ethernet frames; devices use
-//! [`ParsedFrame::parse`] to get a structured view down to L4 in one call and
-//! the `build_*` helpers to emit complete frames.
+//! [`ParsedFrame::parse`] is the owned parse down to L4, kept as the
+//! reference the borrowed [`FrameView`] is differentially tested against;
+//! the `build_*` helpers wrap owned transports through [`crate::emit`].
 
 use crate::arp::ArpPacket;
+use crate::emit::{self, Ip};
 use crate::ethernet::{EtherType, EthernetFrame};
 use crate::icmpv4::Icmpv4Message;
 use crate::icmpv6::Icmpv6Message;
@@ -106,6 +107,10 @@ impl ParsedFrame {
     }
 }
 
+// The `build_*` helpers take the owned transport types; they are thin
+// adapters over the one-pass [`crate::emit`] writers for tests and tools
+// that already hold an owned value.
+
 /// Build a complete Ethernet/IPv4/UDP frame.
 pub fn build_udp_v4(
     src_mac: MacAddr,
@@ -114,8 +119,14 @@ pub fn build_udp_v4(
     dst: Ipv4Addr,
     dgram: &UdpDatagram,
 ) -> Vec<u8> {
-    let ip = Ipv4Packet::new(src, dst, proto::UDP, dgram.encode_v4(src, dst));
-    EthernetFrame::new(dst_mac, src_mac, EtherType::Ipv4, ip.encode()).encode()
+    emit::udp(
+        dst_mac,
+        src_mac,
+        Ip::v4(src, dst),
+        dgram.src_port,
+        dgram.dst_port,
+        &dgram.payload,
+    )
 }
 
 /// Build a complete Ethernet/IPv6/UDP frame.
@@ -126,8 +137,14 @@ pub fn build_udp_v6(
     dst: Ipv6Addr,
     dgram: &UdpDatagram,
 ) -> Vec<u8> {
-    let ip = Ipv6Packet::new(src, dst, proto::UDP, dgram.encode_v6(src, dst));
-    EthernetFrame::new(dst_mac, src_mac, EtherType::Ipv6, ip.encode()).encode()
+    emit::udp(
+        dst_mac,
+        src_mac,
+        Ip::v6(src, dst),
+        dgram.src_port,
+        dgram.dst_port,
+        &dgram.payload,
+    )
 }
 
 /// Build a complete Ethernet/IPv4/TCP frame.
@@ -138,8 +155,7 @@ pub fn build_tcp_v4(
     dst: Ipv4Addr,
     seg: &TcpSegment,
 ) -> Vec<u8> {
-    let ip = Ipv4Packet::new(src, dst, proto::TCP, seg.encode_v4(src, dst));
-    EthernetFrame::new(dst_mac, src_mac, EtherType::Ipv4, ip.encode()).encode()
+    emit::tcp(dst_mac, src_mac, Ip::v4(src, dst), seg)
 }
 
 /// Build a complete Ethernet/IPv6/TCP frame.
@@ -150,8 +166,7 @@ pub fn build_tcp_v6(
     dst: Ipv6Addr,
     seg: &TcpSegment,
 ) -> Vec<u8> {
-    let ip = Ipv6Packet::new(src, dst, proto::TCP, seg.encode_v6(src, dst));
-    EthernetFrame::new(dst_mac, src_mac, EtherType::Ipv6, ip.encode()).encode()
+    emit::tcp(dst_mac, src_mac, Ip::v6(src, dst), seg)
 }
 
 /// Build a complete Ethernet/IPv6/ICMPv6 frame (hop limit 255 for NDP, as
@@ -163,17 +178,7 @@ pub fn build_icmpv6(
     dst: Ipv6Addr,
     msg: &Icmpv6Message,
 ) -> Vec<u8> {
-    let mut ip = Ipv6Packet::new(src, dst, proto::ICMPV6, msg.encode(src, dst));
-    if matches!(
-        msg,
-        Icmpv6Message::RouterSolicitation(_)
-            | Icmpv6Message::RouterAdvertisement(_)
-            | Icmpv6Message::NeighborSolicitation(_)
-            | Icmpv6Message::NeighborAdvertisement(_)
-    ) {
-        ip.hop_limit = 255;
-    }
-    EthernetFrame::new(dst_mac, src_mac, EtherType::Ipv6, ip.encode()).encode()
+    emit::icmpv6(dst_mac, src_mac, Ip::v6(src, dst), msg)
 }
 
 /// Build a complete Ethernet/IPv4/ICMPv4 frame.
@@ -184,13 +189,12 @@ pub fn build_icmpv4(
     dst: Ipv4Addr,
     msg: &Icmpv4Message,
 ) -> Vec<u8> {
-    let ip = Ipv4Packet::new(src, dst, proto::ICMP, msg.encode());
-    EthernetFrame::new(dst_mac, src_mac, EtherType::Ipv4, ip.encode()).encode()
+    emit::icmpv4(dst_mac, src_mac, Ip::v4(src, dst), msg)
 }
 
 /// Build an Ethernet/ARP frame (broadcast for requests, unicast for replies).
 pub fn build_arp(src_mac: MacAddr, dst_mac: MacAddr, arp: &ArpPacket) -> Vec<u8> {
-    EthernetFrame::new(dst_mac, src_mac, EtherType::Arp, arp.encode()).encode()
+    emit::arp(dst_mac, src_mac, arp)
 }
 
 /// One-line human-readable summary of a frame for trace tooling:

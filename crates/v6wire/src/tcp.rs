@@ -72,7 +72,7 @@ impl TcpFlags {
         ack: true,
     };
 
-    fn to_byte(self) -> u8 {
+    pub(crate) fn to_byte(self) -> u8 {
         (self.fin as u8)
             | (self.syn as u8) << 1
             | (self.rst as u8) << 2
@@ -131,23 +131,16 @@ impl TcpSegment {
     }
 
     fn encode_raw(&self) -> Vec<u8> {
-        let opts_len = if self.mss.is_some() { 4 } else { 0 };
-        let data_off = (Self::HEADER_LEN + opts_len) / 4;
-        let mut out = Vec::with_capacity(Self::HEADER_LEN + opts_len + self.payload.len());
-        out.extend_from_slice(&self.src_port.to_be_bytes());
-        out.extend_from_slice(&self.dst_port.to_be_bytes());
-        out.extend_from_slice(&self.seq.to_be_bytes());
-        out.extend_from_slice(&self.ack.to_be_bytes());
-        out.push((data_off as u8) << 4);
-        out.push(self.flags.to_byte());
-        out.extend_from_slice(&self.window.to_be_bytes());
-        out.extend_from_slice(&[0, 0]); // checksum placeholder
-        out.extend_from_slice(&[0, 0]); // urgent pointer
-        if let Some(mss) = self.mss {
-            out.push(2); // kind: MSS
-            out.push(4); // length
-            out.extend_from_slice(&mss.to_be_bytes());
-        }
+        let mut out = Vec::with_capacity(Self::HEADER_LEN + 4 + self.payload.len());
+        crate::emit::write_tcp_header(
+            &mut out,
+            (self.src_port, self.dst_port),
+            self.seq,
+            self.ack,
+            self.flags,
+            self.window,
+            self.mss,
+        );
         out.extend_from_slice(&self.payload);
         out
     }
@@ -243,11 +236,21 @@ impl TcpSegment {
         }
         Self::decode_raw(buf)
     }
+}
 
-    /// The amount of sequence space this segment consumes (SYN and FIN each
-    /// count as one octet).
-    pub fn seq_len(&self) -> u32 {
-        self.payload.len() as u32 + u32::from(self.flags.syn) + u32::from(self.flags.fin)
+impl<'a> From<&'a TcpSegment> for crate::view::TcpView<'a> {
+    /// Borrow an owned segment as a view (the shape receivers consume).
+    fn from(s: &'a TcpSegment) -> Self {
+        crate::view::TcpView {
+            src_port: s.src_port,
+            dst_port: s.dst_port,
+            seq: s.seq,
+            ack: s.ack,
+            flags: s.flags,
+            window: s.window,
+            mss: s.mss,
+            payload: &s.payload,
+        }
     }
 }
 
@@ -289,13 +292,14 @@ mod tests {
 
     #[test]
     fn seq_len_counts_syn_fin() {
+        let seq_len = |s: &TcpSegment| crate::view::TcpView::from(s).seq_len();
         let mut seg = TcpSegment::new(1, 2, 0, 0, TcpFlags::SYN);
-        assert_eq!(seg.seq_len(), 1);
+        assert_eq!(seq_len(&seg), 1);
         seg.flags = TcpFlags::PSH_ACK;
         seg.payload = vec![0; 10];
-        assert_eq!(seg.seq_len(), 10);
+        assert_eq!(seq_len(&seg), 10);
         seg.flags = TcpFlags::FIN_ACK;
-        assert_eq!(seg.seq_len(), 11);
+        assert_eq!(seq_len(&seg), 11);
     }
 
     #[test]

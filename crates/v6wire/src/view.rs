@@ -69,16 +69,6 @@ impl<'a> EthView<'a> {
             payload: &buf[14..],
         })
     }
-
-    /// Convert to the owned frame (copies the payload).
-    pub fn to_frame(&self) -> EthernetFrame {
-        EthernetFrame {
-            dst: self.dst,
-            src: self.src,
-            ethertype: self.ethertype,
-            payload: self.payload.to_vec(),
-        }
-    }
 }
 
 /// Borrowed IPv4 header + payload slice.
@@ -152,20 +142,6 @@ impl<'a> Ipv4View<'a> {
             payload: &buf[ihl..total_len],
         })
     }
-
-    /// Convert to the owned packet (copies the payload).
-    pub fn to_packet(&self) -> Ipv4Packet {
-        Ipv4Packet {
-            dscp_ecn: self.dscp_ecn,
-            identification: self.identification,
-            dont_fragment: self.dont_fragment,
-            ttl: self.ttl,
-            protocol: self.protocol,
-            src: self.src,
-            dst: self.dst,
-            payload: self.payload.to_vec(),
-        }
-    }
 }
 
 /// Borrowed IPv6 header + payload slice.
@@ -221,19 +197,6 @@ impl<'a> Ipv6View<'a> {
             dst: Ipv6Addr::from(dst),
             payload: &buf[Ipv6Packet::HEADER_LEN..Ipv6Packet::HEADER_LEN + payload_len],
         })
-    }
-
-    /// Convert to the owned packet (copies the payload).
-    pub fn to_packet(&self) -> Ipv6Packet {
-        Ipv6Packet {
-            traffic_class: self.traffic_class,
-            flow_label: self.flow_label,
-            next_header: self.next_header,
-            hop_limit: self.hop_limit,
-            src: self.src,
-            dst: self.dst,
-            payload: self.payload.to_vec(),
-        }
     }
 }
 
@@ -312,15 +275,6 @@ impl<'a> UdpView<'a> {
             });
         }
         Ok(view)
-    }
-
-    /// Convert to the owned datagram (copies the payload).
-    pub fn to_datagram(&self) -> UdpDatagram {
-        UdpDatagram {
-            src_port: self.src_port,
-            dst_port: self.dst_port,
-            payload: self.payload.to_vec(),
-        }
     }
 }
 
@@ -417,18 +371,10 @@ impl<'a> TcpView<'a> {
         Self::parse_raw(buf)
     }
 
-    /// Convert to the owned segment (copies the payload).
-    pub fn to_segment(&self) -> TcpSegment {
-        TcpSegment {
-            src_port: self.src_port,
-            dst_port: self.dst_port,
-            seq: self.seq,
-            ack: self.ack,
-            flags: self.flags,
-            window: self.window,
-            mss: self.mss,
-            payload: self.payload.to_vec(),
-        }
+    /// The amount of sequence space this segment consumes (SYN and FIN
+    /// each count as one octet).
+    pub fn seq_len(&self) -> u32 {
+        self.payload.len() as u32 + u32::from(self.flags.syn) + u32::from(self.flags.fin)
     }
 }
 
@@ -610,6 +556,37 @@ impl<'a> NdpOptionsView<'a> {
 }
 
 impl<'a> NdpOptionView<'a> {
+    /// The servers of an RDNSS option (type 25), read in place; empty for
+    /// any other type.
+    pub fn rdnss_servers(&self) -> impl Iterator<Item = Ipv6Addr> + 'a {
+        let servers = if self.ty == 25 { &self.body[8..] } else { &[] };
+        servers.chunks_exact(16).map(|a| {
+            let mut o = [0u8; 16];
+            o.copy_from_slice(a);
+            Ipv6Addr::from(o)
+        })
+    }
+
+    /// The domains of a DNSSL option (type 31) as their wire label runs
+    /// (length-prefixed labels, no terminating zero), read in place;
+    /// empty for any other type.
+    pub fn dnssl_names(&self) -> impl Iterator<Item = &'a [u8]> + 'a {
+        let body = if self.ty == 31 { self.body } else { &[] };
+        let mut pos = 8.min(body.len());
+        std::iter::from_fn(move || {
+            if pos >= body.len() || body[pos] == 0 {
+                return None;
+            }
+            let start = pos;
+            while body[pos] != 0 {
+                pos += 1 + usize::from(body[pos]);
+            }
+            let name = &body[start..pos];
+            pos += 1;
+            Some(name)
+        })
+    }
+
     /// Build the owned option from the validated body.
     pub fn to_option(&self) -> NdpOption {
         let body = self.body;
@@ -754,20 +731,6 @@ impl<'a> RaView<'a> {
             retrans_timer: be32(buf, 8, "ndp-ra")?,
             options: NdpOptionsView::parse(&buf[12..])?,
         })
-    }
-
-    /// Convert to the owned body.
-    pub fn to_ra(&self) -> RouterAdvertisement {
-        RouterAdvertisement {
-            cur_hop_limit: self.cur_hop_limit,
-            managed: self.managed,
-            other_config: self.other_config,
-            router_lifetime: self.router_lifetime,
-            preference: self.preference,
-            reachable_time: self.reachable_time,
-            retrans_timer: self.retrans_timer,
-            options: self.options.to_options(),
-        }
     }
 }
 
@@ -942,7 +905,18 @@ impl<'a> Icmp6View<'a> {
                     options: options.to_options(),
                 })
             }
-            Icmp6View::RouterAdvertisement(ra) => Icmpv6Message::RouterAdvertisement(ra.to_ra()),
+            Icmp6View::RouterAdvertisement(ra) => {
+                Icmpv6Message::RouterAdvertisement(RouterAdvertisement {
+                    cur_hop_limit: ra.cur_hop_limit,
+                    managed: ra.managed,
+                    other_config: ra.other_config,
+                    router_lifetime: ra.router_lifetime,
+                    preference: ra.preference,
+                    reachable_time: ra.reachable_time,
+                    retrans_timer: ra.retrans_timer,
+                    options: ra.options.to_options(),
+                })
+            }
             Icmp6View::NeighborSolicitation { target, options } => {
                 Icmpv6Message::NeighborSolicitation(NeighborSolicitation {
                     target,
@@ -1037,23 +1011,59 @@ impl<'a> FrameView<'a> {
         Ok(FrameView { eth, l3, l4 })
     }
 
-    /// Convert to the owned [`ParsedFrame`] (copies every payload).
+    /// Convert to the owned [`ParsedFrame`] (copies every payload) — the
+    /// lowering the conformance suite compares against the owned parse.
     pub fn to_parsed(&self) -> ParsedFrame {
         let l3 = match &self.l3 {
             L3View::Arp(a) => L3::Arp(a.clone()),
-            L3View::V4(v) => L3::V4(v.to_packet()),
-            L3View::V6(v) => L3::V6(v.to_packet()),
+            L3View::V4(v) => L3::V4(Ipv4Packet {
+                dscp_ecn: v.dscp_ecn,
+                identification: v.identification,
+                dont_fragment: v.dont_fragment,
+                ttl: v.ttl,
+                protocol: v.protocol,
+                src: v.src,
+                dst: v.dst,
+                payload: v.payload.to_vec(),
+            }),
+            L3View::V6(v) => L3::V6(Ipv6Packet {
+                traffic_class: v.traffic_class,
+                flow_label: v.flow_label,
+                next_header: v.next_header,
+                hop_limit: v.hop_limit,
+                src: v.src,
+                dst: v.dst,
+                payload: v.payload.to_vec(),
+            }),
             L3View::Other(et, p) => L3::Other(*et, p.to_vec()),
         };
         let l4 = match &self.l4 {
-            L4View::Udp(u) => L4::Udp(u.to_datagram()),
-            L4View::Tcp(t) => L4::Tcp(t.to_segment()),
+            L4View::Udp(u) => L4::Udp(UdpDatagram {
+                src_port: u.src_port,
+                dst_port: u.dst_port,
+                payload: u.payload.to_vec(),
+            }),
+            L4View::Tcp(t) => L4::Tcp(TcpSegment {
+                src_port: t.src_port,
+                dst_port: t.dst_port,
+                seq: t.seq,
+                ack: t.ack,
+                flags: t.flags,
+                window: t.window,
+                mss: t.mss,
+                payload: t.payload.to_vec(),
+            }),
             L4View::Icmp4(m) => L4::Icmp4(m.to_message()),
             L4View::Icmp6(m) => L4::Icmp6(m.to_message()),
             L4View::None => L4::None,
         };
         ParsedFrame {
-            eth: self.eth.to_frame(),
+            eth: EthernetFrame {
+                dst: self.eth.dst,
+                src: self.eth.src,
+                ethertype: self.eth.ethertype,
+                payload: self.eth.payload.to_vec(),
+            },
             l3,
             l4,
         }

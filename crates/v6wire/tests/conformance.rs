@@ -9,16 +9,19 @@
 //! 2. **Error identity** — on reject, both return the *same* `WireError`
 //!    value, for every truncation point and every single-byte corruption.
 //! 3. **Byte-identical re-emission** — rebuilding each corpus/proptest frame
-//!    from either parse through the owned builders reproduces the original
-//!    bytes exactly.
-//! 4. **Checksum kernel equality** — scalar and SWAR checksums agree on
-//!    every corpus frame, every slice of one, and random data.
+//!    from either parse through the one-pass emitter reproduces the original
+//!    bytes exactly, and so does the owned layer-by-layer encode chain the
+//!    emitter replaced.
+//! 4. **Checksum kernel equality** — the word kernel agrees with the
+//!    two-byte reference on every corpus frame, every prefix and suffix of
+//!    one, and random data.
 //! 5. **Trace text stability** — `summarize`/`classify` (now view-backed)
 //!    match a reference implementation over the owned decoders.
 
 use proptest::prelude::*;
-use v6wire::checksum::{checksum_with, Kernel};
+use v6wire::checksum::{checksum, checksum_reference};
 use v6wire::icmpv6::all_nodes;
+use v6wire::ipv4::proto;
 use v6wire::mac::MacAddr;
 use v6wire::ndp::{NdpOption, RouterAdvertisement, RouterPreference};
 use v6wire::packet::{
@@ -27,7 +30,8 @@ use v6wire::packet::{
 };
 use v6wire::view::FrameView;
 use v6wire::{
-    ArpPacket, Icmpv4Message, Icmpv6Message, ParsedFrame, TcpFlags, TcpSegment, UdpDatagram, L3, L4,
+    ArpPacket, EtherType, EthernetFrame, Icmpv4Message, Icmpv6Message, Ipv4Packet, Ipv6Packet,
+    ParsedFrame, TcpFlags, TcpSegment, UdpDatagram, L3, L4,
 };
 
 /// The committed good frames: every one must parse on both paths.
@@ -115,6 +119,43 @@ fn reemit(p: &ParsedFrame) -> Vec<u8> {
         (L3::V6(ip), L4::Udp(u)) => build_udp_v6(smac, dmac, ip.src, ip.dst, u),
         (L3::V6(ip), L4::Tcp(t)) => build_tcp_v6(smac, dmac, ip.src, ip.dst, t),
         (L3::V6(ip), L4::Icmp6(m)) => build_icmpv6(smac, dmac, ip.src, ip.dst, m),
+        other => panic!("frame shape not re-emittable: {other:?}"),
+    }
+}
+
+/// The owned layer-by-layer encode chain (transport → packet → frame) the
+/// emitter replaced: the reference the emitter's bytes must equal.
+fn owned_chain(p: &ParsedFrame) -> Vec<u8> {
+    let (smac, dmac) = (p.eth.src, p.eth.dst);
+    let frame = |et, payload| EthernetFrame::new(dmac, smac, et, payload).encode();
+    let v4 = |ip: &Ipv4Packet, protocol, l4| Ipv4Packet::new(ip.src, ip.dst, protocol, l4).encode();
+    let v6 = |ip: &Ipv6Packet, protocol, l4| Ipv6Packet::new(ip.src, ip.dst, protocol, l4).encode();
+    match (&p.l3, &p.l4) {
+        (L3::Arp(a), L4::None) => frame(EtherType::Arp, a.encode()),
+        (L3::V4(ip), L4::Udp(u)) => frame(
+            EtherType::Ipv4,
+            v4(ip, proto::UDP, u.encode_v4(ip.src, ip.dst)),
+        ),
+        (L3::V4(ip), L4::Tcp(t)) => frame(
+            EtherType::Ipv4,
+            v4(ip, proto::TCP, t.encode_v4(ip.src, ip.dst)),
+        ),
+        (L3::V4(ip), L4::Icmp4(m)) => frame(EtherType::Ipv4, v4(ip, proto::ICMP, m.encode())),
+        (L3::V6(ip), L4::Udp(u)) => frame(
+            EtherType::Ipv6,
+            v6(ip, proto::UDP, u.encode_v6(ip.src, ip.dst)),
+        ),
+        (L3::V6(ip), L4::Tcp(t)) => frame(
+            EtherType::Ipv6,
+            v6(ip, proto::TCP, t.encode_v6(ip.src, ip.dst)),
+        ),
+        (L3::V6(ip), L4::Icmp6(m)) => {
+            let mut pkt = Ipv6Packet::new(ip.src, ip.dst, proto::ICMPV6, m.encode(ip.src, ip.dst));
+            if m.is_ndp() {
+                pkt.hop_limit = 255;
+            }
+            frame(EtherType::Ipv6, pkt.encode())
+        }
         other => panic!("frame shape not re-emittable: {other:?}"),
     }
 }
@@ -263,6 +304,11 @@ fn corpus_reemission_is_byte_identical() {
         let view = FrameView::parse(raw).unwrap();
         assert_eq!(&reemit(&owned), raw, "{name}: owned re-emission drifted");
         assert_eq!(
+            &owned_chain(&owned),
+            raw,
+            "{name}: owned encode chain drifted"
+        );
+        assert_eq!(
             &reemit(&view.to_parsed()),
             raw,
             "{name}: view re-emission drifted"
@@ -296,17 +342,17 @@ fn corpus_corruption_sweep_errors_identically() {
 #[test]
 fn corpus_checksum_kernels_agree() {
     for (name, raw) in GOOD_FRAMES.iter().chain(BAD_FRAMES) {
-        // Whole frame, every prefix, every suffix: exercises all alignments
-        // and the scalar tail of the SWAR path.
+        // Whole frame, every prefix, every suffix: exercises every
+        // alignment and every tail of the 4-byte word loop.
         for cut in 0..=raw.len() {
             assert_eq!(
-                checksum_with(Kernel::Scalar, &raw[..cut]),
-                checksum_with(Kernel::Swar, &raw[..cut]),
+                checksum_reference(&raw[..cut]),
+                checksum(&raw[..cut]),
                 "{name}: prefix {cut}"
             );
             assert_eq!(
-                checksum_with(Kernel::Scalar, &raw[cut..]),
-                checksum_with(Kernel::Swar, &raw[cut..]),
+                checksum_reference(&raw[cut..]),
+                checksum(&raw[cut..]),
                 "{name}: suffix {cut}"
             );
         }
@@ -548,9 +594,14 @@ proptest! {
 
     #[test]
     fn checksum_kernels_agree_on_random_slices(data in proptest::collection::vec(any::<u8>(), 0..2048)) {
-        prop_assert_eq!(
-            checksum_with(Kernel::Scalar, &data),
-            checksum_with(Kernel::Swar, &data)
-        );
+        prop_assert_eq!(checksum_reference(&data), checksum(&data));
+    }
+
+    #[test]
+    fn emitter_equals_owned_encode_chain(raw in arb_frame()) {
+        // `arb_frame` builds through the emitter; the owned chain over the
+        // parse must reproduce the same bytes.
+        let parsed = ParsedFrame::parse(&raw).expect("generated frames are valid");
+        prop_assert_eq!(owned_chain(&parsed), raw);
     }
 }

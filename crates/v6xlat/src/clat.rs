@@ -14,8 +14,10 @@
 use crate::siit::{self, PortRewrite, XlatError};
 use std::net::{Ipv4Addr, Ipv6Addr};
 use v6addr::rfc6052::Nat64Prefix;
+use v6wire::emit::Ip;
 use v6wire::ipv4::Ipv4Packet;
 use v6wire::ipv6::Ipv6Packet;
+use v6wire::view::Ipv6View;
 
 /// A per-host CLAT instance.
 #[derive(Debug, Clone)]
@@ -45,6 +47,36 @@ impl Clat {
     pub fn v4_out(&self, pkt: &Ipv4Packet) -> Result<Ipv6Packet, XlatError> {
         let dst6 = self.plat_prefix.embed_unchecked(pkt.dst);
         siit::v4_to_v6(pkt, self.clat_v6, dst6, PortRewrite::default())
+    }
+
+    /// The IPv6 header [`Clat::v4_out`] gives a packet the local stack
+    /// originates with the default TTL 64 towards `dst`: the stack emits
+    /// its translated frames straight under it (ports untouched, hop limit
+    /// 63 because the translator is a hop).
+    pub fn out_header(&self, dst: Ipv4Addr) -> Ip {
+        Ip::V6 {
+            src: self.clat_v6,
+            dst: self.plat_prefix.embed_unchecked(dst),
+            hop_limit: 63,
+            traffic_class: 0,
+        }
+    }
+
+    /// The header checks of [`Clat::v6_in`] on a received packet's view,
+    /// returning the IPv4 source the translation gives it. Ports and
+    /// identifiers are untouched, so the transport view is read as is.
+    pub fn in_source(&self, ip: &Ipv6View<'_>) -> Result<Ipv4Addr, XlatError> {
+        if ip.dst != self.clat_v6 {
+            return Err(XlatError::NotInPrefix(ip.dst));
+        }
+        let src4 = self
+            .plat_prefix
+            .extract(ip.src)
+            .map_err(|_| XlatError::NotInPrefix(ip.src))?;
+        if ip.hop_limit <= 1 {
+            return Err(XlatError::HopLimitExceeded);
+        }
+        Ok(src4)
     }
 
     /// Translate an inbound IPv6 packet (from the PLAT) back to IPv4 for the

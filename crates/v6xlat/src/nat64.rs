@@ -17,8 +17,10 @@ use v6wire::fasthash::FastMap;
 use v6wire::icmpv6::Icmpv6Message;
 use v6wire::ipv4::{proto, Ipv4Packet};
 use v6wire::ipv6::Ipv6Packet;
+use v6wire::mac::MacAddr;
 use v6wire::tcp::TcpSegment;
 use v6wire::udp::UdpDatagram;
+use v6wire::view::{Icmp4View, Icmp6View, Ipv4View, Ipv6View, L4View};
 
 /// Session lifetimes (RFC 6146 §4 defaults, seconds).
 #[derive(Debug, Clone, Copy)]
@@ -212,7 +214,6 @@ impl Nat64 {
         tcp_established: bool,
     ) -> Result<(Ipv4Addr, u16), XlatError> {
         let lifetime = self.lifetime(p, tcp_established);
-        let pool = self.pool.clone();
         if let Some(e) = self.bib(p).forward.get_mut(&(src, src_port)) {
             e.expires = now + lifetime;
             return Ok(e.external);
@@ -225,7 +226,18 @@ impl Nat64 {
                 return Err(XlatError::TableFull);
             }
         }
-        let bib = self.bib(p);
+        let Nat64 {
+            pool,
+            udp,
+            tcp,
+            icmp,
+            ..
+        } = self;
+        let bib = match p {
+            Proto::Udp => udp,
+            Proto::Tcp => tcp,
+            Proto::Icmp => icmp,
+        };
         // Scan for a free (addr, port) pair starting at next_port.
         let span = usize::from(u16::MAX - 1024) * pool.len();
         for _ in 0..span {
@@ -235,7 +247,7 @@ impl Nat64 {
             } else {
                 bib.next_port + 1
             };
-            for &addr in &pool {
+            for &addr in pool.iter() {
                 let key = (addr, port);
                 let free = match bib.reverse.get(&key) {
                     None => true,
@@ -285,20 +297,7 @@ impl Nat64 {
     /// Translate an inbound (IPv4 → IPv6) packet; requires a binding.
     pub fn v4_to_v6(&mut self, pkt: &Ipv4Packet, now: u64) -> Result<Ipv6Packet, XlatError> {
         let (p, dst_port) = flow_v4(pkt)?;
-        let bib = self.bib(p);
-        let Some(&(int_addr, int_port)) = bib.reverse.get(&(pkt.dst, dst_port)) else {
-            self.dropped_no_binding += 1;
-            return Err(XlatError::NoBinding);
-        };
-        let live = bib
-            .forward
-            .get(&(int_addr, int_port))
-            .map(|e| e.expires > now)
-            .unwrap_or(false);
-        if !live {
-            self.dropped_no_binding += 1;
-            return Err(XlatError::NoBinding);
-        }
+        let (int_addr, int_port) = self.lookup(p, pkt.dst, dst_port, now)?;
         let new_src = self.prefix.embed_unchecked(pkt.src);
         let out = siit::v4_to_v6(
             pkt,
@@ -311,6 +310,122 @@ impl Nat64 {
         )?;
         self.inbound += 1;
         Ok(out)
+    }
+
+    /// The live binding an inbound packet to `(dst, dst_port)` maps to.
+    fn lookup(
+        &mut self,
+        p: Proto,
+        dst: Ipv4Addr,
+        dst_port: u16,
+        now: u64,
+    ) -> Result<(Ipv6Addr, u16), XlatError> {
+        let bib = self.bib(p);
+        let Some(&(int_addr, int_port)) = bib.reverse.get(&(dst, dst_port)) else {
+            self.dropped_no_binding += 1;
+            return Err(XlatError::NoBinding);
+        };
+        let live = bib
+            .forward
+            .get(&(int_addr, int_port))
+            .map(|e| e.expires > now)
+            .unwrap_or(false);
+        if !live {
+            self.dropped_no_binding += 1;
+            return Err(XlatError::NoBinding);
+        }
+        Ok((int_addr, int_port))
+    }
+
+    /// [`Nat64::v6_to_v4`] on a received frame's views, emitting the
+    /// translated frame in one pass (same bindings, counters and errors).
+    pub fn v6_to_v4_frame(
+        &mut self,
+        ip: &Ipv6View<'_>,
+        l4: &L4View<'_>,
+        now: u64,
+        dst_mac: MacAddr,
+        src_mac: MacAddr,
+    ) -> Result<Vec<u8>, XlatError> {
+        let dst_v4 = self
+            .prefix
+            .extract(ip.dst)
+            .map_err(|_| XlatError::NotInPrefix(ip.dst))?;
+        let (p, src_port, tcp_established) = flow_v6_view(ip, l4)?;
+        let (ext_addr, ext_port) = self.bind(p, ip.src, src_port, now, tcp_established)?;
+        let out = siit::v6_to_v4_frame(
+            dst_mac,
+            src_mac,
+            ip,
+            l4,
+            ext_addr,
+            dst_v4,
+            PortRewrite {
+                src: Some(ext_port),
+                dst: None,
+            },
+        )?;
+        self.outbound += 1;
+        Ok(out)
+    }
+
+    /// [`Nat64::v4_to_v6`] on a received frame's views, emitting the
+    /// translated frame in one pass. Also returns the internal IPv6
+    /// destination, which picks the next hop on the LAN.
+    pub fn v4_to_v6_frame(
+        &mut self,
+        ip: &Ipv4View<'_>,
+        l4: &L4View<'_>,
+        now: u64,
+        dst_mac: MacAddr,
+        src_mac: MacAddr,
+    ) -> Result<(Vec<u8>, Ipv6Addr), XlatError> {
+        let (p, dst_port) = flow_v4_view(ip, l4)?;
+        let (int_addr, int_port) = self.lookup(p, ip.dst, dst_port, now)?;
+        let new_src = self.prefix.embed_unchecked(ip.src);
+        let out = siit::v4_to_v6_frame(
+            dst_mac,
+            src_mac,
+            ip,
+            l4,
+            new_src,
+            int_addr,
+            PortRewrite {
+                src: None,
+                dst: Some(int_port),
+            },
+        )?;
+        self.inbound += 1;
+        Ok((out, int_addr))
+    }
+}
+
+/// [`flow_v6`] over a received frame's views.
+fn flow_v6_view(ip: &Ipv6View<'_>, l4: &L4View<'_>) -> Result<(Proto, u16, bool), XlatError> {
+    match l4 {
+        L4View::Udp(d) => Ok((Proto::Udp, d.src_port, false)),
+        L4View::Tcp(s) => {
+            let est = s.flags.ack && !s.flags.syn && !s.flags.fin && !s.flags.rst;
+            Ok((Proto::Tcp, s.src_port, est))
+        }
+        L4View::Icmp6(
+            Icmp6View::EchoRequest { ident, .. } | Icmp6View::EchoReply { ident, .. },
+        ) => Ok((Proto::Icmp, *ident, false)),
+        L4View::Icmp6(_) => Err(XlatError::UntranslatableIcmp),
+        _ => Err(XlatError::UnsupportedProtocol(ip.next_header)),
+    }
+}
+
+/// [`flow_v4`] over a received frame's views.
+fn flow_v4_view(ip: &Ipv4View<'_>, l4: &L4View<'_>) -> Result<(Proto, u16), XlatError> {
+    match l4 {
+        L4View::Udp(d) => Ok((Proto::Udp, d.dst_port)),
+        L4View::Tcp(s) => Ok((Proto::Tcp, s.dst_port)),
+        L4View::Icmp4(
+            Icmp4View::EchoRequest { ident, .. } | Icmp4View::EchoReply { ident, .. },
+        ) => Ok((Proto::Icmp, *ident)),
+        L4View::Icmp4(_) => Err(XlatError::UntranslatableIcmp),
+        _ => Err(XlatError::UnsupportedProtocol(ip.protocol)),
     }
 }
 

@@ -4,17 +4,24 @@
 //! source and destination addresses (address *selection* is the caller's
 //! job: NAT64 consults its BIB, CLAT applies its static prefixes).
 //!
-//! Transport checksums are rebuilt against the new pseudo-header by
-//! re-encoding the parsed transport payload; ICMP types are mapped per
-//! RFC 7915 §4.2/§5.2.
+//! [`v6_to_v4`] and [`v4_to_v6`] work on owned packets: transport
+//! checksums are rebuilt against the new pseudo-header by re-encoding the
+//! parsed transport payload. They are the reference for the frame-level
+//! [`v6_to_v4_frame`] and [`v4_to_v6_frame`] the simulated translators run,
+//! which read a received frame through its views and emit the translated
+//! frame in one pass (`tests/prop_xlat.rs` proves the bytes equal). ICMP
+//! types are mapped per RFC 7915 §4.2/§5.2.
 
 use std::net::{Ipv4Addr, Ipv6Addr};
+use v6wire::emit::{self, Ip};
 use v6wire::icmpv4::Icmpv4Message;
 use v6wire::icmpv6::Icmpv6Message;
 use v6wire::ipv4::{proto, Ipv4Packet};
 use v6wire::ipv6::Ipv6Packet;
+use v6wire::mac::MacAddr;
 use v6wire::tcp::TcpSegment;
 use v6wire::udp::UdpDatagram;
+use v6wire::view::{Ipv4View, Ipv6View, L3View, L4View};
 use v6wire::WireError;
 
 /// Translation errors.
@@ -63,13 +70,7 @@ impl From<WireError> for XlatError {
 
 /// Optional transport rewrite applied during translation (NAT64's port
 /// mapping). `None` keeps ports/identifiers unchanged (CLAT).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PortRewrite {
-    /// Replace the source port / ICMP identifier.
-    pub src: Option<u16>,
-    /// Replace the destination port / ICMP identifier.
-    pub dst: Option<u16>,
-}
+pub type PortRewrite = emit::Ports;
 
 /// Translate an IPv6 packet to IPv4 with the given new addresses.
 /// Decrements the hop limit (the translator is a router).
@@ -139,6 +140,66 @@ pub fn v4_to_v6(
     out.hop_limit = pkt.ttl - 1;
     out.traffic_class = pkt.dscp_ecn;
     Ok(out)
+}
+
+/// [`v6_to_v4`] from a received frame's views straight to the translated
+/// Ethernet frame: the transport is copied once under the new header.
+pub fn v6_to_v4_frame(
+    dst_mac: MacAddr,
+    src_mac: MacAddr,
+    ip: &Ipv6View<'_>,
+    l4: &L4View<'_>,
+    new_src: Ipv4Addr,
+    new_dst: Ipv4Addr,
+    rewrite: PortRewrite,
+) -> Result<Vec<u8>, XlatError> {
+    if ip.hop_limit <= 1 {
+        return Err(XlatError::HopLimitExceeded);
+    }
+    let out = Ip::V4 {
+        src: new_src,
+        dst: new_dst,
+        ttl: ip.hop_limit - 1,
+        tos: ip.traffic_class,
+    };
+    match l4 {
+        L4View::Icmp6(m) => {
+            let v4 = icmp6_to_icmp4(&m.to_message(), rewrite)?;
+            Ok(emit::icmpv4(dst_mac, src_mac, out, &v4))
+        }
+        _ => emit::transport(dst_mac, src_mac, out, &L3View::V6(*ip), l4, rewrite)
+            .ok_or(XlatError::UnsupportedProtocol(ip.next_header)),
+    }
+}
+
+/// [`v4_to_v6`] from a received frame's views straight to the translated
+/// Ethernet frame.
+pub fn v4_to_v6_frame(
+    dst_mac: MacAddr,
+    src_mac: MacAddr,
+    ip: &Ipv4View<'_>,
+    l4: &L4View<'_>,
+    new_src: Ipv6Addr,
+    new_dst: Ipv6Addr,
+    rewrite: PortRewrite,
+) -> Result<Vec<u8>, XlatError> {
+    if ip.ttl <= 1 {
+        return Err(XlatError::HopLimitExceeded);
+    }
+    let out = Ip::V6 {
+        src: new_src,
+        dst: new_dst,
+        hop_limit: ip.ttl - 1,
+        traffic_class: ip.dscp_ecn,
+    };
+    match l4 {
+        L4View::Icmp4(m) => {
+            let v6 = icmp4_to_icmp6(&m.to_message(), rewrite)?;
+            Ok(emit::icmpv6(dst_mac, src_mac, out, &v6))
+        }
+        _ => emit::transport(dst_mac, src_mac, out, &L3View::V4(*ip), l4, rewrite)
+            .ok_or(XlatError::UnsupportedProtocol(ip.protocol)),
+    }
 }
 
 fn apply_ports(src: &mut u16, dst: &mut u16, rewrite: PortRewrite) {

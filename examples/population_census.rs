@@ -160,13 +160,20 @@ fn run_warm_bench(args: &Args, path: &str) {
     );
 
     let speedup = warm1_per_sec / cold_per_sec.max(f64::EPSILON);
-    let scaling = warm_mt_per_sec / warm1_per_sec.max(f64::EPSILON);
+    // A scaling figure compares N threads with one; with one thread it
+    // would compare one with one, so none is reported.
+    let scaling = (args.threads >= 2).then(|| warm_mt_per_sec / warm1_per_sec.max(f64::EPSILON));
+    let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!("cold  x1:  {cold_per_sec:>9.0} scenarios/sec");
     println!("warm  x1:  {warm1_per_sec:>9.0} scenarios/sec  ({speedup:.2}x over cold)");
-    println!(
-        "warm x{:<2}: {warm_mt_per_sec:>9.0} scenarios/sec  ({scaling:.2}x over warm x1)",
-        args.threads
-    );
+    match scaling {
+        Some(scaling) => println!(
+            "warm x{:<2}: {warm_mt_per_sec:>9.0} scenarios/sec  ({scaling:.2}x over warm x1, \
+             {parallelism} cores available)",
+            args.threads
+        ),
+        None => println!("warm x1:  no thread scaling measured (--threads 1)"),
+    }
     println!("aggregates: identical across all three runs");
 
     let mut doc = load_bench(path);
@@ -174,11 +181,14 @@ fn run_warm_bench(args: &Args, path: &str) {
     row.set("samples", Json::U64(args.size));
     row.set("shards", Json::U64(args.shards as u64));
     row.set("threads", Json::U64(args.threads as u64));
+    row.set("available_parallelism", Json::U64(parallelism as u64));
     row.set("cold_scenarios_per_sec", Json::F64(cold_per_sec));
     row.set("warm_scenarios_per_sec", Json::F64(warm1_per_sec));
     row.set("speedup", Json::F64(speedup));
     row.set("warm_mt_scenarios_per_sec", Json::F64(warm_mt_per_sec));
-    row.set("thread_scaling", Json::F64(scaling));
+    if let Some(scaling) = scaling {
+        row.set("thread_scaling", Json::F64(scaling));
+    }
     doc.set("warm_cell", row);
     write_bench(path, &doc, "warm_cell");
 }

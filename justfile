@@ -99,16 +99,28 @@ bench-smoke:
     cargo bench -p v6bench --bench codec_zero_copy -- --test
 
 # The differential codec-conformance pass at CI depth: owned-vs-view
-# parse equality over the committed corpus plus 256 proptest cases per
-# suite, the HTTP request-parser robustness properties, both checksum
-# kernels, and the frame-pool steady-state gate.
+# parse and owned-vs-emitter byte equality over the committed corpus plus
+# 256 proptest cases per suite, the outside-input robustness properties
+# (HTTP requests, job-spec JSON, zone files), the one-pass translators
+# against the owned ones, the frame-pool steady-state gate and the
+# per-cell allocation budget.
 conformance:
     PROPTEST_CASES=256 cargo test -p v6wire --test conformance -q
     PROPTEST_CASES=256 cargo test -p v6wire --test prop_roundtrip -q
     PROPTEST_CASES=256 cargo test -p v6dns --test conformance -q
     PROPTEST_CASES=256 cargo test -p v6portal --test http_fuzz -q
-    SC24_CHECKSUM_KERNEL=scalar cargo test -p v6wire -q
+    PROPTEST_CASES=256 cargo test -p v6labd --test jobspec_fuzz -q
+    PROPTEST_CASES=256 cargo test -p v6dns --test master_fuzz -q
+    PROPTEST_CASES=256 cargo test -p v6xlat --test prop_xlat -q
+    PROPTEST_CASES=256 cargo test -p v6sim --test prop_nat44 -q
     cargo test -q --test pool_steady_state
+    cargo test -q --release --test alloc_budget
+
+# The benchmark package's own tests (bench/ is a separate package):
+# metric sets vs BENCHMARK.json, replica == arena over 300 cells, smoke
+# runs and compare verdicts.
+bench-package:
+    cargo test --release --offline --manifest-path bench/Cargo.toml
 
 # The DNS realism lane at CI depth: master-file fixtures round-trip
 # byte-identically, the iterative resolver matches the flat view (or
