@@ -34,10 +34,9 @@ pub use population::{PopulationReport, PopulationRun, PopulationSpec};
 pub use sketch::{nearest_rank, CensusSketch, LatencySketch, SketchPercentiles};
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use v6testbed::scenario::ResolutionFailure;
-use v6testbed::{CellArena, Scenario, ScenarioResult, TraceMode};
+use v6testbed::{CellArena, CellObservation, Scenario, ScenarioResult, TraceMode};
 
 /// Streaming hooks into a running fleet: an observer shared across the
 /// pool's workers, notified as each unit of work completes and *before*
@@ -65,10 +64,62 @@ pub trait FleetObserver: Sync {
 }
 
 /// The do-nothing observer behind the plain `run`/`run_population`
-/// entry points.
-pub(crate) struct NoopObserver;
+/// entry points, for callers that want a run without live progress.
+pub struct NoopObserver;
 
 impl FleetObserver for NoopObserver {}
+
+/// The one worker pool: run `work(arena, i)` for every `i` in `0..n` on
+/// `threads` workers and return the results in index order.
+///
+/// Scheduling is a shared atomic cursor, each worker owns one
+/// [`CellArena`] for every item it claims, and a one-thread pool runs on
+/// the calling thread. Workers are joined explicitly, not by the scope:
+/// implicit joins cost the matrix benchmark ~1 MiB of peak RSS (DESIGN.md
+/// §13). The first worker panic is resumed on the caller.
+fn drain<T: Send>(
+    threads: usize,
+    n: usize,
+    work: impl Fn(&mut CellArena, usize) -> T + Sync,
+) -> Vec<T> {
+    if threads == 1 {
+        let mut arena = CellArena::new();
+        return (0..n).map(|i| work(&mut arena, i)).collect();
+    }
+    let cursor = AtomicUsize::new(0);
+    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut arena = CellArena::new();
+                    let mut done = Vec::new();
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            return done;
+                        }
+                        done.push((i, work(&mut arena, i)));
+                    }
+                })
+            })
+            .collect();
+        for worker in workers {
+            match worker.join() {
+                Ok(done) => {
+                    for (i, item) in done {
+                        slots[i] = Some(item);
+                    }
+                }
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        }
+    });
+    slots
+        .into_iter()
+        .map(|item| item.expect("every index drained"))
+        .collect()
+}
 
 /// A pool of worker threads that drains a scenario list.
 ///
@@ -128,52 +179,17 @@ impl FleetRunner {
     ///
     /// Cells run warm: each worker owns a [`CellArena`] and recycles a
     /// built testbed between cells instead of rebuilding one per cell.
-    /// Warm results are byte-identical to cold ones (`run_serial`, which
-    /// stays on the cold path, is the baseline the determinism tests
-    /// compare against).
+    /// Warm results are byte-identical to cold ones ([`run_serial`],
+    /// which gives every cell a fresh arena, is the baseline the
+    /// determinism tests compare against).
     pub fn run_observed(&self, scenarios: &[Scenario], observer: &dyn FleetObserver) -> FleetRun {
         let started = Instant::now();
         let mode = self.trace_mode;
-        let results: Vec<ScenarioResult> = if self.threads == 1 {
-            let mut arena = CellArena::new();
-            scenarios
-                .iter()
-                .enumerate()
-                .map(|(i, s)| {
-                    let r = arena.run_with_trace(s, mode);
-                    observer.scenario_done(i, &r);
-                    r
-                })
-                .collect()
-        } else {
-            let cursor = AtomicUsize::new(0);
-            let slots: Mutex<Vec<Option<ScenarioResult>>> = Mutex::new(vec![None; scenarios.len()]);
-            std::thread::scope(|scope| {
-                let workers: Vec<_> = (0..self.threads)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            let mut arena = CellArena::new();
-                            loop {
-                                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                                let Some(s) = scenarios.get(i) else { break };
-                                let r = arena.run_with_trace(s, mode);
-                                observer.scenario_done(i, &r);
-                                slots.lock().expect("no poisoned worker")[i] = Some(r);
-                            }
-                        })
-                    })
-                    .collect();
-                for w in workers {
-                    w.join().expect("fleet worker panicked");
-                }
-            });
-            slots
-                .into_inner()
-                .expect("workers joined")
-                .into_iter()
-                .map(|r| r.expect("every slot filled"))
-                .collect()
-        };
+        let results = drain(self.threads, scenarios.len(), |arena, i| {
+            let r = arena.run_with_trace(&scenarios[i], mode);
+            observer.scenario_done(i, &r);
+            r
+        });
         let wall = WallStats {
             threads: self.threads,
             elapsed: started.elapsed(),
@@ -245,6 +261,39 @@ pub struct FleetCensus {
     pub dns_failures: [usize; ResolutionFailure::ALL.len()],
 }
 
+impl FleetCensus {
+    /// Count one client — the single census fold. Matrix reports count
+    /// [`CellObservation::from_result`] of each result, population
+    /// sketches count the observation each cell returns.
+    pub fn count(&mut self, obs: &CellObservation) {
+        self.associated += 1;
+        self.naive_v6only += usize::from(obs.naive_counted);
+        self.accurate_v6only += usize::from(obs.accurate_counted);
+        self.with_v4_path += usize::from(obs.has_v4);
+        self.rfc8925_engaged += usize::from(obs.rfc8925_engaged);
+        self.intervened += usize::from(obs.intervened);
+        self.degraded += usize::from(obs.degraded);
+        if let Some(f) = obs.dns_failure {
+            self.dns_failures[f.index()] += 1;
+        }
+    }
+
+    /// Add another census, field by field: exact integer sums, so the
+    /// order clients or shards are added in never matters.
+    pub fn add(&mut self, other: &FleetCensus) {
+        self.associated += other.associated;
+        self.naive_v6only += other.naive_v6only;
+        self.accurate_v6only += other.accurate_v6only;
+        self.with_v4_path += other.with_v4_path;
+        self.rfc8925_engaged += other.rfc8925_engaged;
+        self.intervened += other.intervened;
+        self.degraded += other.degraded;
+        for (a, b) in self.dns_failures.iter_mut().zip(other.dns_failures) {
+            *a += b;
+        }
+    }
+}
+
 /// `p50` / `p90` / `max` over a per-scenario quantity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Percentiles {
@@ -303,34 +352,17 @@ impl FleetReport {
     /// fleet-wide aggregate.
     pub fn aggregate(results: Vec<ScenarioResult>) -> FleetReport {
         let mut census = FleetCensus::default();
+        let mut completed_us = Vec::with_capacity(results.len());
+        let mut events = Vec::with_capacity(results.len());
         for r in &results {
-            census.associated += 1;
-            census.naive_v6only += usize::from(r.census.naive_counted);
-            census.accurate_v6only += usize::from(r.census.accurate_counted);
-            census.with_v4_path += usize::from(r.census.has_v4);
-            census.rfc8925_engaged += usize::from(r.verdict.rfc8925_engaged);
-            census.intervened += usize::from(r.verdict.intervened);
-            let nat64_refusals = r
-                .metrics
-                .node("5g-gw")
-                .map(|n| n.device.get("nat64.dropped_table_full"))
-                .unwrap_or(0);
-            census.degraded +=
-                usize::from(r.metrics.faults.total_dropped() > 0 || nat64_refusals > 0);
-            if let Some(f) = r.dns_failure() {
-                census.dns_failures[f.index()] += 1;
-            }
+            let obs = CellObservation::from_result(r);
+            census.count(&obs);
+            completed_us.push(obs.completed_us);
+            events.push(obs.events);
         }
         let timing = FleetTiming {
-            completed_us: Percentiles::of(
-                results.iter().map(|r| r.completed_at.as_micros()).collect(),
-            ),
-            events: Percentiles::of(
-                results
-                    .iter()
-                    .map(|r| r.metrics.engine.events_processed)
-                    .collect(),
-            ),
+            completed_us: Percentiles::of(completed_us),
+            events: Percentiles::of(events),
         };
         FleetReport {
             results,
@@ -345,23 +377,16 @@ impl FleetReport {
     /// what the clean-vs-impaired diff in `examples/fleet_census.rs`
     /// compares.
     pub fn census_by_os(&self) -> Vec<(String, FleetCensus)> {
-        let mut rows: std::collections::BTreeMap<String, FleetCensus> =
+        let mut rows: std::collections::BTreeMap<&str, FleetCensus> =
             std::collections::BTreeMap::new();
         for r in &self.results {
-            let sub = FleetReport::aggregate(vec![r.clone()]).census;
-            let row = rows.entry(r.census.os.clone()).or_default();
-            row.associated += sub.associated;
-            row.naive_v6only += sub.naive_v6only;
-            row.accurate_v6only += sub.accurate_v6only;
-            row.with_v4_path += sub.with_v4_path;
-            row.rfc8925_engaged += sub.rfc8925_engaged;
-            row.intervened += sub.intervened;
-            row.degraded += sub.degraded;
-            for (a, b) in row.dns_failures.iter_mut().zip(sub.dns_failures) {
-                *a += b;
-            }
+            rows.entry(&r.census.os)
+                .or_default()
+                .count(&CellObservation::from_result(r));
         }
-        rows.into_iter().collect()
+        rows.into_iter()
+            .map(|(os, row)| (os.to_string(), row))
+            .collect()
     }
 
     /// Sum every per-scenario [`v6sim::metrics::MetricsSnapshot`] into
@@ -515,9 +540,9 @@ impl FleetMetricsTotals {
 }
 
 /// Convenience: run `scenarios` one at a time on the calling thread,
-/// each on a freshly built testbed (the *cold* path). The baseline the
-/// parallel — and, since warm-cell execution, recycled — paths are
-/// checked against.
+/// each on a fresh [`CellArena`] and so a freshly built testbed (the
+/// *cold* path). The baseline the pooled, recycled paths are checked
+/// against.
 pub fn run_serial(scenarios: &[Scenario]) -> FleetReport {
     FleetReport::aggregate(scenarios.iter().map(Scenario::run).collect())
 }

@@ -22,6 +22,16 @@ pub const DEFAULT_POPULATION_SHARDS: usize = 8;
 /// so a larger request buys nothing.
 pub const MAX_POPULATION_SHARDS: usize = 4096;
 
+/// Most cells a population job may ask for: ten times the 1M census
+/// `just population` runs. A job the worker cannot finish in a
+/// reasonable time would hold it, and `POST /shutdown` waits for it.
+pub const MAX_POPULATION_SIZE: u64 = 10_000_000;
+
+/// Longest per-shard dwell a population job may ask for, in
+/// milliseconds. The worker sleeps this long after every shard, so an
+/// unbounded value would hold it forever.
+pub const MAX_PACE_MS: u64 = 10_000;
+
 /// One unit of daemon work, as submitted over `POST /jobs`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobSpec {
@@ -94,6 +104,11 @@ impl JobSpec {
                 if size == 0 {
                     return Err("population job: missing or zero \"size\"".into());
                 }
+                if size > MAX_POPULATION_SIZE {
+                    return Err(format!(
+                        "population job: \"size\" must be at most {MAX_POPULATION_SIZE}"
+                    ));
+                }
                 let default_shards = size.min(DEFAULT_POPULATION_SHARDS as u64);
                 let shards = get_u64(&v, "shards", default_shards)?;
                 if shards == 0 {
@@ -104,11 +119,17 @@ impl JobSpec {
                         "population job: \"shards\" must be at most \"size\" and at most {MAX_POPULATION_SHARDS}"
                     ));
                 }
+                let pace_ms = get_u64(&v, "pace_ms", 0)?;
+                if pace_ms > MAX_PACE_MS {
+                    return Err(format!(
+                        "population job: \"pace_ms\" must be at most {MAX_PACE_MS}"
+                    ));
+                }
                 Ok(JobSpec::Population {
                     seed: get_u64(&v, "seed", CANONICAL_BASE_SEED)?,
                     size,
                     shards: shards as usize,
-                    pace_ms: get_u64(&v, "pace_ms", 0)?,
+                    pace_ms,
                 })
             }
             other => Err(format!("unknown job kind {other:?}")),
@@ -296,6 +317,25 @@ mod tests {
         let over_cap = format!(
             r#"{{"kind":"population","size":100000,"shards":{}}}"#,
             max + 1
+        );
+        assert!(JobSpec::parse(&over_cap).is_err());
+        // A dwell that would hold the worker forever is refused.
+        assert!(
+            JobSpec::parse(r#"{"kind":"population","size":1,"pace_ms":18446744073709551615}"#)
+                .is_err()
+        );
+        // Size and pace are accepted up to their caps and not beyond.
+        let size_cap = MAX_POPULATION_SIZE;
+        let at_cap = format!(r#"{{"kind":"population","size":{size_cap}}}"#);
+        assert!(JobSpec::parse(&at_cap).is_ok());
+        let over_cap = format!(r#"{{"kind":"population","size":{}}}"#, size_cap + 1);
+        assert!(JobSpec::parse(&over_cap).is_err());
+        let pace_cap = MAX_PACE_MS;
+        let at_cap = format!(r#"{{"kind":"population","size":1,"pace_ms":{pace_cap}}}"#);
+        assert!(JobSpec::parse(&at_cap).is_ok());
+        let over_cap = format!(
+            r#"{{"kind":"population","size":1,"pace_ms":{}}}"#,
+            pace_cap + 1
         );
         assert!(JobSpec::parse(&over_cap).is_err());
         // A population smaller than the default shard count defaults to

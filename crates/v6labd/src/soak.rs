@@ -11,7 +11,7 @@
 //! [`SoakSummary`] whose `soak` manifest is committed as
 //! `reports/soak_smoke.json`.
 
-use v6fleet::{FleetObserver, FleetRunner, LatencySketch};
+use v6fleet::{FleetRunner, LatencySketch, NoopObserver};
 use v6report::{fnv1a, RunManifest, SoakJobRow, SoakSummary};
 use v6testbed::scenario::FaultVariant;
 
@@ -96,13 +96,11 @@ pub fn run_soak(config: SoakConfig) -> (SoakSummary, Detector) {
     // Baseline: what the repo's committed goldens promise. Built
     // in-process from the same seed so the soak needs no file access —
     // and unobserved, so the live sketches cover only scheduled jobs.
-    struct Quiet;
-    impl FleetObserver for Quiet {}
     let clean = JobSpec::Matrix {
         base_seed: config.base_seed,
         fault: FaultVariant::Clean,
     };
-    let baseline = clean.execute(&runner, &Quiet);
+    let baseline = clean.execute(&runner, &NoopObserver);
     let mut detector = Detector::new();
     for fault in FaultVariant::ALL {
         let key = format!("matrix/{}", fault.label());

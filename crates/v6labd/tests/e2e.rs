@@ -413,3 +413,45 @@ fn shutdown_over_http_stops_both_threads() {
         }
     }
 }
+
+#[test]
+fn a_job_that_could_never_finish_is_refused_and_shutdown_stays_prompt() {
+    let server = LabServer::start(ServerConfig::default()).expect("daemon starts");
+    let addr = server.addr;
+
+    // A one-cell census that would dwell u64::MAX ms after its shard:
+    // accepted, it holds the only worker forever and shutdown never
+    // completes.
+    let endless = post(
+        addr,
+        "/jobs",
+        r#"{"kind":"population","size":1,"pace_ms":18446744073709551615}"#,
+    );
+    let start = Instant::now();
+    let health = get(addr, "/health").status;
+    let waited = start.elapsed();
+
+    // Shut down and join on a helper thread, so an accepted endless job
+    // fails this test instead of hanging it.
+    let start = Instant::now();
+    let shutdown = post(addr, "/shutdown", "").status;
+    let (joined_tx, joined) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        server.join();
+        let _ = joined_tx.send(());
+    });
+    let join = joined.recv_timeout(Duration::from_secs(1).saturating_sub(start.elapsed()));
+
+    assert_eq!(endless.status, 400, "{}", endless.body);
+    assert_eq!(health, 200);
+    assert!(
+        waited < Duration::from_millis(250),
+        "/health waited {waited:?}"
+    );
+    assert_eq!(shutdown, 200);
+    assert!(
+        join.is_ok(),
+        "POST /shutdown + join took more than 1 s ({:?})",
+        start.elapsed()
+    );
+}

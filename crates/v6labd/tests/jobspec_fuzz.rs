@@ -3,15 +3,28 @@
 //! never a spec the runner cannot execute within its limits.
 
 use proptest::prelude::*;
-use v6labd::jobs::MAX_POPULATION_SHARDS;
+use v6labd::jobs::{MAX_PACE_MS, MAX_POPULATION_SHARDS, MAX_POPULATION_SIZE};
 use v6labd::JobSpec;
 
 /// The contract on one body: a parse error is a non-empty message; an
-/// accepted population job has a size and a shard count in range.
+/// accepted population job has a size, a shard count and a pace in
+/// range.
 fn check(body: &str) {
     match JobSpec::parse(body) {
-        Ok(JobSpec::Population { size, shards, .. }) => {
-            assert!(size > 0, "accepted an empty population: {body:?}");
+        Ok(JobSpec::Population {
+            size,
+            shards,
+            pace_ms,
+            ..
+        }) => {
+            assert!(
+                (1..=MAX_POPULATION_SIZE).contains(&size),
+                "accepted a population of {size}: {body:?}"
+            );
+            assert!(
+                pace_ms <= MAX_PACE_MS,
+                "accepted a {pace_ms} ms dwell: {body:?}"
+            );
             assert!(
                 (1..=MAX_POPULATION_SHARDS).contains(&shards) && shards as u64 <= size,
                 "accepted {shards} shards for {size} cells: {body:?}"
@@ -26,6 +39,7 @@ const TEMPLATES: &[&str] = &[
     r#"{"kind":"matrix","fault":"lossy-uplink","base_seed":42}"#,
     r#"{"kind":"population","size":1000,"seed":7,"shards":8,"pace_ms":0}"#,
     r#"{"kind":"population","size":1,"shards":1}"#,
+    r#"{"kind":"population","size":10000000,"pace_ms":10000}"#,
     r#"{"kind":"matrix"}"#,
 ];
 
@@ -54,10 +68,12 @@ proptest! {
     fn numeric_fields_parse_or_classify(
         size in any::<u64>(),
         shards in any::<u64>(),
+        pace_ms in any::<u64>(),
         negative in any::<bool>(),
     ) {
         let sign = if negative { "-" } else { "" };
         check(&format!(r#"{{"kind":"population","size":{size},"shards":{sign}{shards}}}"#));
+        check(&format!(r#"{{"kind":"population","size":1,"pace_ms":{pace_ms}}}"#));
     }
 }
 

@@ -14,6 +14,9 @@
 //! * [`canon`] — the hand-rolled canonical JSON layer the manifests are
 //!   written in: sorted keys, fixed number formatting, no timestamps —
 //!   so serial and parallel runs of the same seed are byte-identical.
+//! * [`ledger`] — the one writer of `BENCH_engine.json`: each bench
+//!   tool records its own sections, stamped with the host's
+//!   `available_parallelism`, and leaves the rest untouched.
 //! * [`diff`] — the structural differ and the drift taxonomy:
 //!   *behavioural* drift (census, verdicts, conservation, counters) is
 //!   always fatal; *informational* drift (pool/trace counters, bench
@@ -29,6 +32,7 @@
 
 pub mod canon;
 pub mod diff;
+pub mod ledger;
 pub mod manifest;
 
 pub use canon::Json;

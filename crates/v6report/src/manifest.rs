@@ -19,7 +19,7 @@ use v6fleet::{
     SketchPercentiles,
 };
 use v6testbed::scenario::{FaultVariant, PoisonVariant, ResolutionFailure, TopologyVariant};
-use v6testbed::Scenario;
+use v6testbed::{CellObservation, Scenario};
 
 /// The base seed every committed matrix manifest is generated from —
 /// the same seed `examples/fleet_census.rs` sweeps, so the goldens
@@ -528,27 +528,20 @@ fn verdict_rows(scenarios: &[Scenario], report: &FleetReport) -> Json {
         .iter()
         .zip(&report.results)
         .map(|(s, r)| {
+            let obs = CellObservation::from_result(r);
             let mut row = Json::obj();
             row.set("cell", Json::Str(s.cell_label()));
             row.set("seed", Json::U64(r.seed));
-            row.set("rfc8925_engaged", Json::Bool(r.verdict.rfc8925_engaged));
-            row.set("has_v4", Json::Bool(r.verdict.has_v4));
-            row.set("sc24", Json::Str(r.verdict.sc24.label().into()));
-            row.set("ip6me", Json::Str(r.verdict.ip6me.label().into()));
-            row.set("intervened", Json::Bool(r.verdict.intervened));
-            row.set("naive_counted", Json::Bool(r.census.naive_counted));
-            row.set("accurate_counted", Json::Bool(r.census.accurate_counted));
-            let nat64_refusals = r
-                .metrics
-                .node("5g-gw")
-                .map(|n| n.device.get("nat64.dropped_table_full"))
-                .unwrap_or(0);
-            row.set(
-                "degraded",
-                Json::Bool(r.metrics.faults.total_dropped() > 0 || nat64_refusals > 0),
-            );
-            row.set("completed_us", Json::U64(r.completed_at.as_micros()));
-            row.set("events", Json::U64(r.metrics.engine.events_processed));
+            row.set("rfc8925_engaged", Json::Bool(obs.rfc8925_engaged));
+            row.set("has_v4", Json::Bool(obs.has_v4));
+            row.set("sc24", Json::Str(obs.sc24.label().into()));
+            row.set("ip6me", Json::Str(obs.ip6me.label().into()));
+            row.set("intervened", Json::Bool(obs.intervened));
+            row.set("naive_counted", Json::Bool(obs.naive_counted));
+            row.set("accurate_counted", Json::Bool(obs.accurate_counted));
+            row.set("degraded", Json::Bool(obs.degraded));
+            row.set("completed_us", Json::U64(obs.completed_us));
+            row.set("events", Json::U64(obs.events));
             // One digest over the *entire* rendered MetricsSnapshot —
             // every engine, fault, pool, trace, and per-node counter of
             // this cell. Any counter drift anywhere moves this field.

@@ -15,7 +15,7 @@
 //!   `HashMap` probe. Compiled fault links use the same layout, indexed by
 //!   `(src, dst)` node id.
 //! * **Frame buffer pool** — delivered frame buffers are recycled into a
-//!   [`FramePool`]; nodes obtain outgoing buffers via [`Ctx::buffer`] /
+//!   `FramePool`; nodes obtain outgoing buffers via [`Ctx::buffer`] /
 //!   [`Ctx::buffer_from`], so steady-state forwarding allocates nothing.
 //! * **Trace modes** — [`TraceMode::Hops`] records only
 //!   `(at, src, dst, len)`; node names are interned at `add_node` time and
@@ -508,7 +508,7 @@ impl Network {
     /// counter, every metrics counter, traces, captures, and the fault
     /// machinery — returns to exactly what `Network::new` plus the same
     /// `add_node`/`link` calls would produce. Frame buffers are parked
-    /// rather than freed (see [`FramePool::recycle`]), so warm cells
+    /// rather than freed (see `FramePool::recycle`), so warm cells
     /// inherit capacity without perturbing the pool counters.
     ///
     /// Node-*internal* state is deliberately not touched: callers reset

@@ -1,4 +1,4 @@
-//! Warm-cell execution: reusable testbed arenas.
+//! Cell execution: reusable testbed arenas, the one way a cell runs.
 //!
 //! Building the Fig. 4 topology dominates a cell's cost at population
 //! scale: twelve boxed nodes, eleven route-table parses, resolver and
@@ -7,6 +7,11 @@
 //! one built [`Testbed`] per distinct build configuration (topology ×
 //! poison × trace mode — six combinations in the paper matrix) and
 //! [recycles](Testbed::recycle) it between cells instead of rebuilding.
+//!
+//! A *cold* run is a run on an empty arena: its first cell of each
+//! configuration builds with [`Testbed::build`], exactly as a one-off
+//! run would. [`Scenario::run_with_trace`] and
+//! [`CellSpec::run_observation`] are that case.
 //!
 //! Correctness bar: a warm run is *byte-identical* to a cold run — same
 //! [`CellObservation`], same [`ScenarioResult`] including the full
@@ -18,12 +23,16 @@
 //! worker owns one, so the hot path takes no locks and reuse is a plain
 //! `&mut` borrow.
 
+use crate::census::census;
 use crate::scenario::{
-    cell_config, observe_cell, run_cell_body, CellObservation, CellSpec, PoisonVariant, Scenario,
-    ScenarioResult, TopologyVariant,
+    CellObservation, CellSpec, FaultVariant, PathFamily, PoisonVariant, Scenario, ScenarioResult,
+    TopologyVariant, Verdict,
 };
 use crate::topology::{Testbed, TestbedConfig};
-use v6sim::engine::TraceMode;
+use crate::zones::delegated_internet_dns;
+use v6host::profiles::OsProfile;
+use v6host::tasks::{AppTask, TaskOutcome};
+use v6sim::engine::{NodeId, TraceMode};
 
 /// Stable key for one build configuration. FNV-1a over the three
 /// build-time dimensions; everything else a cell varies is per-run
@@ -137,8 +146,12 @@ impl CellArena {
         }
     }
 
-    /// Run a population cell on a warm testbed — the drop-in equivalent
-    /// of [`CellSpec::run_observation`], byte-identical output.
+    /// Run a population cell and observe only the compact, `Copy` census
+    /// row — the population hot path. No label string, no
+    /// `CensusEntry` clones, and no full metrics snapshot (which clones
+    /// every node name and counter map): the counters the census needs
+    /// are read straight off the engine and the gateway. Every field
+    /// agrees with [`CellObservation::from_result`] of the full result.
     pub fn run_observation(&mut self, spec: CellSpec) -> CellObservation {
         let i = self.slot_index(spec.topology, spec.poison, TraceMode::Off);
         let slot = &mut self.slots[i];
@@ -151,14 +164,13 @@ impl CellArena {
         observe_cell(&mut slot.tb, id, &verdict)
     }
 
-    /// Run a matrix cell on a warm testbed — the drop-in equivalent of
-    /// [`Scenario::run_with_trace`], byte-identical output including the
-    /// full metrics snapshot.
+    /// Run a matrix cell under `trace` and collect everything: verdict,
+    /// census row, full metrics snapshot and virtual completion time.
     pub fn run_with_trace(&mut self, s: &Scenario, trace: TraceMode) -> ScenarioResult {
         let i = self.slot_index(s.topology, s.poison, trace);
         let slot = &mut self.slots[i];
         let (_id, verdict) = run_cell_body(&mut slot.tb, s.fault, s.os.clone(), s.seed);
-        let (entries, _) = crate::census::census(&mut slot.tb);
+        let (entries, _) = census(&mut slot.tb);
         ScenarioResult {
             label: s.label(),
             seed: s.seed,
@@ -167,5 +179,119 @@ impl CellArena {
             metrics: slot.tb.net.metrics(),
             completed_at: slot.tb.net.now(),
         }
+    }
+}
+
+/// The [`TestbedConfig`] a cell's (topology, poison, trace) dimensions
+/// resolve to. These are exactly the build-time knobs — everything else
+/// a cell varies (fault plan, NAT64 cap, host profile, seed) is applied
+/// per run by [`run_cell_body`], which is what makes testbeds reusable
+/// across cells that share this config.
+fn cell_config(
+    topology: TopologyVariant,
+    poison: PoisonVariant,
+    trace: TraceMode,
+) -> TestbedConfig {
+    let managed = topology == TopologyVariant::PaperDefault;
+    TestbedConfig {
+        managed_switch: managed,
+        pi_dhcp: managed,
+        poison: poison.policy(),
+        block_v4_internet: false,
+        trace,
+    }
+}
+
+/// Install the per-cell state on a post-build (or recycled) testbed,
+/// boot the client, run the browse workload, and classify the outcome.
+/// Freshly built and recycled testbeds both run exactly this body, in
+/// exactly this order — the conditional fault install mirrors the fact
+/// that a fresh build never sees `set_fault_plan` for a no-op plan, so
+/// `fault_active` agrees.
+fn run_cell_body(
+    tb: &mut Testbed,
+    fault: FaultVariant,
+    os: OsProfile,
+    seed: u64,
+) -> (NodeId, Verdict) {
+    let plan = fault.plan(seed);
+    if !plan.is_noop() {
+        tb.net.set_fault_plan(plan);
+    }
+    if let Some(cap) = fault.nat64_binding_cap() {
+        tb.gateway().nat64.set_max_bindings(Some(cap));
+    }
+    if fault == FaultVariant::BrokenDelegation {
+        // Swap the Pi's flat DNS database for the delegation tree walked
+        // iteratively over IPv6 only. `PiServer::reset` reinstalls the
+        // flat database, so a recycled testbed starts from the same state
+        // as a cold build.
+        tb.pi_server().install_global_dns(delegated_internet_dns());
+    }
+    let id = tb.set_host_seeded(os, seed);
+    tb.boot();
+    // The workload names are constants; parse them once per process and
+    // hand out clones (a DnsName clone is a reference-count bump).
+    static SC24_NAME: std::sync::OnceLock<v6dns::name::DnsName> = std::sync::OnceLock::new();
+    static IP6ME_NAME: std::sync::OnceLock<v6dns::name::DnsName> = std::sync::OnceLock::new();
+    let sc24 = tb.run_task(
+        id,
+        AppTask::Browse {
+            name: SC24_NAME
+                .get_or_init(|| "sc24.supercomputing.org".parse().expect("static name"))
+                .clone(),
+            path: "/".into(),
+        },
+        25,
+    );
+    let ip6me = tb.run_task(
+        id,
+        AppTask::Browse {
+            name: IP6ME_NAME
+                .get_or_init(|| "ip6.me".parse().expect("static name"))
+                .clone(),
+            path: "/".into(),
+        },
+        25,
+    );
+    let intervened = matches!(
+        (&sc24, &ip6me),
+        (TaskOutcome::HttpOk { body, .. }, _) | (_, TaskOutcome::HttpOk { body, .. })
+            if body.contains("helpdesk")
+    );
+    let h = tb.host(id);
+    let verdict = Verdict {
+        rfc8925_engaged: h.v6only_mode,
+        has_v4: h.v4_active(),
+        sc24: PathFamily::of(&sc24),
+        ip6me: PathFamily::of(&ip6me),
+        intervened,
+    };
+    (id, verdict)
+}
+
+/// Project a finished cell on a live testbed down to the compact
+/// observation. The live-testbed twin of [`CellObservation::from_result`]:
+/// it reads the gateway's NAT64 refusal counter directly instead of out
+/// of a metrics snapshot.
+fn observe_cell(tb: &mut Testbed, id: NodeId, verdict: &Verdict) -> CellObservation {
+    let h = tb.host(id);
+    let has_v6 = h.v6_global_active();
+    let has_v4 = h.v4_active();
+    let dns_failure = h.dns_failure();
+    let fault_dropped = tb.net.fault_frames_dropped();
+    let nat64_refusals = tb.gateway().nat64.dropped_table_full;
+    CellObservation {
+        rfc8925_engaged: verdict.rfc8925_engaged,
+        has_v4: verdict.has_v4,
+        sc24: verdict.sc24,
+        ip6me: verdict.ip6me,
+        intervened: verdict.intervened,
+        naive_counted: true,
+        accurate_counted: has_v6 && !has_v4,
+        degraded: fault_dropped > 0 || nat64_refusals > 0,
+        dns_failure,
+        completed_us: tb.net.now().as_micros(),
+        events: tb.net.events_processed(),
     }
 }

@@ -12,15 +12,15 @@
 //! be compared field-for-field — the property the fleet's determinism
 //! tests rely on.
 
-use crate::census::{census, CensusEntry};
-use crate::topology::{Testbed, TestbedConfig};
-use crate::zones::{addrs, delegated_internet_dns};
+use crate::arena::CellArena;
+use crate::census::CensusEntry;
+use crate::zones::addrs;
 use std::net::IpAddr;
 use std::sync::OnceLock;
 use v6dns::poison::PoisonPolicy;
 pub use v6dns::server::ResolutionFailure;
 use v6host::profiles::OsProfile;
-use v6host::tasks::{AppTask, TaskOutcome};
+use v6host::tasks::TaskOutcome;
 use v6sim::engine::TraceMode;
 use v6sim::fault::{EndpointMatch, FaultPlan, Impairment, LinkFault, Outage};
 use v6sim::metrics::MetricsSnapshot;
@@ -281,10 +281,11 @@ impl CellSpec {
         }
     }
 
-    /// Run the cell and observe only the compact census row — the
-    /// population hot path. See [`Scenario::run_observation`].
+    /// Run the cell on a freshly built testbed and observe only the
+    /// compact census row. A cold run is a run on an empty
+    /// [`CellArena`]; see [`CellArena::run_observation`].
     pub fn run_observation(self) -> CellObservation {
-        self.to_scenario().run_observation()
+        CellArena::new().run_observation(self)
     }
 }
 
@@ -300,7 +301,7 @@ pub enum PathFamily {
 }
 
 impl PathFamily {
-    fn of(o: &TaskOutcome) -> PathFamily {
+    pub(crate) fn of(o: &TaskOutcome) -> PathFamily {
         match o.peer() {
             Some(IpAddr::V6(_)) => PathFamily::V6,
             Some(IpAddr::V4(_)) => PathFamily::V4,
@@ -430,7 +431,7 @@ impl Scenario {
         h ^ self.fault.plan(self.seed).digest().rotate_left(31) ^ cap
     }
 
-    /// Build a fresh testbed, run this cell, and collect everything.
+    /// Run this cell on a freshly built testbed and collect everything.
     ///
     /// Entirely driven by the virtual clock and the scenario seed: the
     /// result is a pure function of `self`, which is what lets the
@@ -448,157 +449,11 @@ impl Scenario {
 
     /// [`Scenario::run`] with an explicit engine trace mode — `Off` for
     /// maximum-throughput sweeps, `Full` when the per-frame summaries are
-    /// wanted (figure regeneration, debugging a single cell).
+    /// wanted (figure regeneration, debugging a single cell). A cold run
+    /// is a run on an empty [`CellArena`], which builds the testbed
+    /// fresh.
     pub fn run_with_trace(&self, trace: TraceMode) -> ScenarioResult {
-        let (mut tb, _id, verdict) = self.execute(trace);
-        let (entries, _) = census(&mut tb);
-        ScenarioResult {
-            label: self.label(),
-            seed: self.seed,
-            verdict,
-            census: entries.into_iter().next().expect("one host attached"),
-            metrics: tb.net.metrics(),
-            completed_at: tb.net.now(),
-        }
-    }
-
-    /// Run the cell and collect only the compact, `Copy` census row —
-    /// the population hot path. No label string, no `CensusEntry`
-    /// clones, and crucially no full [`MetricsSnapshot`] (which clones
-    /// every node name and counter map): the two counters the census
-    /// needs are read straight off the engine and the gateway. Every
-    /// field agrees with what [`Scenario::run`] would report — see
-    /// [`CellObservation::from_result`] and the equivalence test.
-    pub fn run_observation(&self) -> CellObservation {
-        let (mut tb, id, verdict) = self.execute(TraceMode::Off);
-        observe_cell(&mut tb, id, &verdict)
-    }
-
-    /// Build the testbed, boot the client, run the browse workload, and
-    /// classify the outcome — the body shared by the full-result and
-    /// observation-only paths. Warm execution (`crate::arena`) shares
-    /// [`run_cell_body`] and differs only in how the testbed arrives.
-    fn execute(&self, trace: TraceMode) -> (Testbed, v6sim::engine::NodeId, Verdict) {
-        let mut tb = Testbed::build(cell_config(self.topology, self.poison, trace));
-        let (id, verdict) = run_cell_body(&mut tb, self.fault, self.os.clone(), self.seed);
-        (tb, id, verdict)
-    }
-}
-
-/// The [`TestbedConfig`] a cell's (topology, poison, trace) dimensions
-/// resolve to. These are exactly the build-time knobs — everything else
-/// a cell varies (fault plan, NAT64 cap, host profile, seed) is applied
-/// per run by [`run_cell_body`], which is what makes testbeds reusable
-/// across cells that share this config.
-pub(crate) fn cell_config(
-    topology: TopologyVariant,
-    poison: PoisonVariant,
-    trace: TraceMode,
-) -> TestbedConfig {
-    let managed = topology == TopologyVariant::PaperDefault;
-    TestbedConfig {
-        managed_switch: managed,
-        pi_dhcp: managed,
-        poison: poison.policy(),
-        block_v4_internet: false,
-        trace,
-    }
-}
-
-/// Install the per-cell state on a post-build (or recycled) testbed,
-/// boot the client, run the browse workload, and classify the outcome.
-/// Cold ([`Scenario::execute`]) and warm ([`crate::arena::CellArena`])
-/// paths both run exactly this body, in exactly this order — the
-/// conditional fault install mirrors the fact that a fresh build never
-/// sees `set_fault_plan` for a no-op plan, so `fault_active` agrees.
-pub(crate) fn run_cell_body(
-    tb: &mut Testbed,
-    fault: FaultVariant,
-    os: OsProfile,
-    seed: u64,
-) -> (v6sim::engine::NodeId, Verdict) {
-    let plan = fault.plan(seed);
-    if !plan.is_noop() {
-        tb.net.set_fault_plan(plan);
-    }
-    if let Some(cap) = fault.nat64_binding_cap() {
-        tb.gateway().nat64.set_max_bindings(Some(cap));
-    }
-    if fault == FaultVariant::BrokenDelegation {
-        // Swap the Pi's flat DNS database for the delegation tree walked
-        // iteratively over IPv6 only. `PiServer::reset` reinstalls the
-        // flat database, so a recycled testbed starts from the same state
-        // as a cold build.
-        tb.pi_server().install_global_dns(delegated_internet_dns());
-    }
-    let id = tb.set_host_seeded(os, seed);
-    tb.boot();
-    // The workload names are constants; parse them once per process and
-    // hand out clones (a DnsName clone is a reference-count bump).
-    static SC24_NAME: std::sync::OnceLock<v6dns::name::DnsName> = std::sync::OnceLock::new();
-    static IP6ME_NAME: std::sync::OnceLock<v6dns::name::DnsName> = std::sync::OnceLock::new();
-    let sc24 = tb.run_task(
-        id,
-        AppTask::Browse {
-            name: SC24_NAME
-                .get_or_init(|| "sc24.supercomputing.org".parse().expect("static name"))
-                .clone(),
-            path: "/".into(),
-        },
-        25,
-    );
-    let ip6me = tb.run_task(
-        id,
-        AppTask::Browse {
-            name: IP6ME_NAME
-                .get_or_init(|| "ip6.me".parse().expect("static name"))
-                .clone(),
-            path: "/".into(),
-        },
-        25,
-    );
-    let intervened = matches!(
-        (&sc24, &ip6me),
-        (TaskOutcome::HttpOk { body, .. }, _) | (_, TaskOutcome::HttpOk { body, .. })
-            if body.contains("helpdesk")
-    );
-    let h = tb.host(id);
-    let verdict = Verdict {
-        rfc8925_engaged: h.v6only_mode,
-        has_v4: h.v4_active(),
-        sc24: PathFamily::of(&sc24),
-        ip6me: PathFamily::of(&ip6me),
-        intervened,
-    };
-    (id, verdict)
-}
-
-/// Project a finished cell down to the compact observation — the
-/// shared tail of [`Scenario::run_observation`] and the arena's warm
-/// observation path.
-pub(crate) fn observe_cell(
-    tb: &mut Testbed,
-    id: v6sim::engine::NodeId,
-    verdict: &Verdict,
-) -> CellObservation {
-    let h = tb.host(id);
-    let has_v6 = h.v6_global_active();
-    let has_v4 = h.v4_active();
-    let dns_failure = h.dns_failure();
-    let fault_dropped = tb.net.fault_frames_dropped();
-    let nat64_refusals = tb.gateway().nat64.dropped_table_full;
-    CellObservation {
-        rfc8925_engaged: verdict.rfc8925_engaged,
-        has_v4: verdict.has_v4,
-        sc24: verdict.sc24,
-        ip6me: verdict.ip6me,
-        intervened: verdict.intervened,
-        naive_counted: true,
-        accurate_counted: has_v6 && !has_v4,
-        degraded: fault_dropped > 0 || nat64_refusals > 0,
-        dns_failure,
-        completed_us: tb.net.now().as_micros(),
-        events: tb.net.events_processed(),
+        CellArena::new().run_with_trace(self, trace)
     }
 }
 
@@ -635,9 +490,9 @@ pub struct CellObservation {
 }
 
 impl CellObservation {
-    /// Project a full [`ScenarioResult`] down to the observation — the
-    /// same fields, derived the same way `v6fleet`'s materializing
-    /// aggregation derives them.
+    /// Project a full [`ScenarioResult`] down to the observation. This is
+    /// the one place a result's census row is classified: `v6fleet`'s
+    /// census counts and `v6report`'s verdict rows both read it.
     pub fn from_result(r: &ScenarioResult) -> CellObservation {
         let nat64_refusals = r
             .metrics
@@ -821,7 +676,7 @@ mod tests {
         ];
         for s in cells {
             let full = CellObservation::from_result(&s.run());
-            let cheap = s.run_observation();
+            let cheap = s.cell_spec().expect("paper profile").run_observation();
             assert_eq!(full, cheap, "{} diverged", s.label());
         }
     }
@@ -844,7 +699,10 @@ mod tests {
         let s = spec.to_scenario();
         assert_eq!(s.os.name, "macOS");
         assert_eq!(s.seed, 42);
-        assert_eq!(spec.run_observation(), s.run_observation());
+        assert_eq!(
+            spec.run_observation(),
+            s.cell_spec().expect("paper profile").run_observation()
+        );
     }
 
     #[test]
@@ -859,7 +717,7 @@ mod tests {
             fault: FaultVariant::BrokenDelegation,
             seed: 21,
         };
-        let o = s.run_observation();
+        let o = s.cell_spec().expect("paper profile").run_observation();
         assert_eq!(o.dns_failure, Some(ResolutionFailure::NoAaaaGlue));
         assert_eq!(o.sc24, PathFamily::Fail, "sc24 unreachable, classified");
         assert_eq!(o.ip6me, PathFamily::V6, "dual glue keeps resolving");
@@ -870,7 +728,7 @@ mod tests {
             seed: 22,
             ..s
         };
-        let o4 = s4.run_observation();
+        let o4 = s4.cell_spec().expect("paper profile").run_observation();
         assert!(o4.intervened, "the intervention survives the fault");
         assert_eq!(o4.dns_failure, None);
     }

@@ -2,7 +2,9 @@
 //!
 //! Measures the two benchmarks the perf work is judged by — the raw
 //! engine relay ring and the 66-cell fleet sweep — in every [`TraceMode`],
-//! and writes `BENCH_engine.json` next to the repo root:
+//! plus the zero-copy codec rows, and records them in `BENCH_engine.json`
+//! next to the repo root through `v6report::ledger` (other tools' rows
+//! are left as they were):
 //!
 //! ```sh
 //! cargo run --release --example bench_report
@@ -14,8 +16,9 @@
 //! auditable without checking out the old revision.
 
 use std::any::Any;
-use std::fmt::Write as _;
+use std::path::Path;
 use std::time::Instant;
+use v6report::Json;
 use v6sim::engine::{Ctx, Network, Node, TraceMode};
 use v6sim::time::SimTime;
 use v6testbed::{Scenario, TraceMode as TbTraceMode};
@@ -27,7 +30,7 @@ use v6wire::udp::UdpDatagram;
 /// median ms per 66-cell sweep and scenarios/second, measured on this
 /// machine immediately before the hot-path rework.
 const BASELINE_FLEET_MS: f64 = 25.569;
-const BASELINE_FLEET_ELEM_S: f64 = 2581.0;
+const BASELINE_FLEET_ELEM_S: u64 = 2581;
 
 /// Full-trace ring ms/iter recorded immediately before the zero-copy codec
 /// rework (owned re-parse + `String` summary per hop).
@@ -130,27 +133,22 @@ fn median_secs(samples: usize, mut f: impl FnMut()) -> f64 {
 }
 
 fn main() {
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"generated_by\": \"examples/bench_report.rs\",");
-
     // Engine relay ring, per trace mode.
     let (frames, events) = run_ring(TraceMode::Off);
-    let _ = writeln!(json, "  \"engine_hot_path\": {{");
-    let _ = writeln!(
-        json,
-        "    \"workload\": \"4-node relay ring, 4 frames in flight, 100 virtual ms\","
+    let mut engine = Json::obj();
+    engine.set(
+        "workload",
+        Json::Str("4-node relay ring, 4 frames in flight, 100 virtual ms".into()),
     );
-    let _ = writeln!(json, "    \"frames_per_iter\": {frames},");
-    let _ = writeln!(json, "    \"events_per_iter\": {events},");
+    engine.set("frames_per_iter", Json::U64(frames));
+    engine.set("events_per_iter", Json::U64(events));
+    engine.set("threads", Json::U64(1));
     let mut full_ms = 0.0;
-    for (i, (label, mode)) in [
+    for (label, mode) in [
         ("off", TraceMode::Off),
         ("hops", TraceMode::Hops),
         ("full", TraceMode::Full),
-    ]
-    .into_iter()
-    .enumerate()
-    {
+    ] {
         run_ring(mode); // warm-up
         let secs = median_secs(7, || {
             std::hint::black_box(run_ring(mode));
@@ -158,16 +156,12 @@ fn main() {
         if label == "full" {
             full_ms = secs * 1e3;
         }
-        let comma = if i < 2 { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    \"{label}\": {{ \"ms_per_iter\": {:.3}, \"frames_per_sec\": {:.0}, \"events_per_sec\": {:.0} }}{comma}",
-            secs * 1e3,
-            frames as f64 / secs,
-            events as f64 / secs,
-        );
+        let mut row = Json::obj();
+        row.set("ms_per_iter", Json::F64(secs * 1e3));
+        row.set("frames_per_sec", per_sec(frames as f64, secs));
+        row.set("events_per_sec", per_sec(events as f64, secs));
+        engine.set(label, row);
     }
-    let _ = writeln!(json, "  }},");
 
     // Zero-copy codec microbenchmarks over the conformance corpus, plus the
     // Full-trace ring against its recorded pre-rework baseline (the
@@ -206,66 +200,40 @@ fn main() {
     };
     let reference_gbps = ck_gbps(v6wire::checksum::checksum_reference);
     let word_gbps = ck_gbps(v6wire::checksum::checksum);
-    let _ = writeln!(json, "  \"codec_zero_copy\": {{");
-    let _ = writeln!(
-        json,
-        "    \"corpus_inputs\": {},",
-        CORPUS_FRAMES.len() + CORPUS_DNS.len()
+    let mut codec = Json::obj();
+    codec.set(
+        "corpus_inputs",
+        Json::U64((CORPUS_FRAMES.len() + CORPUS_DNS.len()) as u64),
     );
-    let _ = writeln!(
-        json,
-        "    \"wire_parse_owned_ns_per_frame\": {wire_owned:.1},"
+    codec.set("threads", Json::U64(1));
+    codec.set("wire_parse_owned_ns_per_frame", Json::F64(wire_owned));
+    codec.set("wire_parse_view_ns_per_frame", Json::F64(wire_view));
+    codec.set("wire_parse_speedup", Json::F64(wire_owned / wire_view));
+    codec.set("wire_summarize_ns_per_frame", Json::F64(wire_summarize));
+    codec.set("dns_decode_owned_ns_per_msg", Json::F64(dns_owned));
+    codec.set("dns_parse_view_ns_per_msg", Json::F64(dns_view));
+    codec.set("dns_parse_speedup", Json::F64(dns_owned / dns_view));
+    codec.set("checksum_gb_per_s", Json::F64(word_gbps));
+    codec.set("checksum_reference_gb_per_s", Json::F64(reference_gbps));
+    codec.set("full_trace_baseline_ms", Json::F64(BASELINE_FULL_TRACE_MS));
+    codec.set("full_trace_ms", Json::F64(full_ms));
+    codec.set(
+        "full_trace_speedup",
+        Json::F64(BASELINE_FULL_TRACE_MS / full_ms),
     );
-    let _ = writeln!(
-        json,
-        "    \"wire_parse_view_ns_per_frame\": {wire_view:.1},"
-    );
-    let _ = writeln!(
-        json,
-        "    \"wire_parse_speedup\": {:.2},",
-        wire_owned / wire_view
-    );
-    let _ = writeln!(
-        json,
-        "    \"wire_summarize_ns_per_frame\": {wire_summarize:.1},"
-    );
-    let _ = writeln!(json, "    \"dns_decode_owned_ns_per_msg\": {dns_owned:.1},");
-    let _ = writeln!(json, "    \"dns_parse_view_ns_per_msg\": {dns_view:.1},");
-    let _ = writeln!(
-        json,
-        "    \"dns_parse_speedup\": {:.2},",
-        dns_owned / dns_view
-    );
-    let _ = writeln!(json, "    \"checksum_gb_per_s\": {word_gbps:.2},");
-    let _ = writeln!(
-        json,
-        "    \"checksum_reference_gb_per_s\": {reference_gbps:.2},"
-    );
-    let _ = writeln!(
-        json,
-        "    \"full_trace_baseline_ms\": {BASELINE_FULL_TRACE_MS},"
-    );
-    let _ = writeln!(json, "    \"full_trace_ms\": {full_ms:.3},");
-    let _ = writeln!(
-        json,
-        "    \"full_trace_speedup\": {:.2}",
-        BASELINE_FULL_TRACE_MS / full_ms
-    );
-    let _ = writeln!(json, "  }},");
 
-    // Fleet sweep (the acceptance benchmark), per trace mode.
+    // Fleet sweep (the acceptance benchmark), per trace mode: every cell
+    // on a fresh testbed, one at a time.
     let cells = Scenario::matrix(0xBE9C);
-    let _ = writeln!(json, "  \"fleet_sweep\": {{");
-    let _ = writeln!(json, "    \"cells\": {},", cells.len());
+    let mut fleet = Json::obj();
+    fleet.set("cells", Json::U64(cells.len() as u64));
+    fleet.set("threads", Json::U64(1));
     let mut hops_ms = 0.0;
-    for (i, (label, mode)) in [
+    for (label, mode) in [
         ("off", TbTraceMode::Off),
         ("hops", TbTraceMode::Hops),
         ("full", TbTraceMode::Full),
-    ]
-    .into_iter()
-    .enumerate()
-    {
+    ] {
         for s in &cells {
             let _ = s.run_with_trace(mode); // warm-up
         }
@@ -277,50 +245,37 @@ fn main() {
         if label == "hops" {
             hops_ms = secs * 1e3;
         }
-        let comma = if i < 2 { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    \"{label}\": {{ \"ms_per_sweep\": {:.3}, \"scenarios_per_sec\": {:.0} }}{comma}",
-            secs * 1e3,
-            cells.len() as f64 / secs,
-        );
+        let mut row = Json::obj();
+        row.set("ms_per_sweep", Json::F64(secs * 1e3));
+        row.set("scenarios_per_sec", per_sec(cells.len() as f64, secs));
+        fleet.set(label, row);
     }
-    let _ = writeln!(json, "  }},");
 
     // The before/after the PR is judged on: pre-optimization single-thread
     // fleet sweep vs today's Hops-mode sweep.
-    let _ = writeln!(json, "  \"baseline_pre_optimization\": {{");
-    let _ = writeln!(json, "    \"fleet_ms_per_sweep\": {BASELINE_FLEET_MS},");
-    let _ = writeln!(
-        json,
-        "    \"fleet_scenarios_per_sec\": {BASELINE_FLEET_ELEM_S}"
-    );
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(
-        json,
-        "  \"speedup_vs_baseline\": {:.2}",
-        BASELINE_FLEET_MS / hops_ms
-    );
-    json.push_str("}\n");
+    let mut baseline = Json::obj();
+    baseline.set("fleet_ms_per_sweep", Json::F64(BASELINE_FLEET_MS));
+    baseline.set("fleet_scenarios_per_sec", Json::U64(BASELINE_FLEET_ELEM_S));
 
-    // Re-emit through the canonical JSON layer, preserving every section
-    // owned by another writer (`population_census --bench`/`--warm-bench`
-    // and the `just soak` load generator) — the examples own disjoint
-    // sections of the same file, and a rerun here must not drop theirs.
-    let mut doc = v6report::Json::parse(&json).expect("bench json parses");
-    if let Ok(prev) = std::fs::read_to_string("BENCH_engine.json") {
-        if let Ok(prev) = v6report::Json::parse(&prev) {
-            for section in ["population_census", "service_soak", "warm_cell"] {
-                if let Some(row) = prev.get(section) {
-                    doc.set(section, row.clone());
-                }
-            }
-        }
-    }
-    let mut text = doc.canonical();
-    text.push('\n');
-
-    print!("{text}");
-    std::fs::write("BENCH_engine.json", &text).expect("write BENCH_engine.json");
+    v6report::ledger::record(
+        Path::new("BENCH_engine.json"),
+        "examples/bench_report.rs",
+        vec![
+            ("engine_hot_path", engine),
+            ("codec_zero_copy", codec),
+            ("fleet_sweep", fleet),
+            ("baseline_pre_optimization", baseline),
+            (
+                "speedup_vs_baseline",
+                Json::F64(BASELINE_FLEET_MS / hops_ms),
+            ),
+        ],
+    )
+    .expect("record BENCH_engine.json");
     eprintln!("wrote BENCH_engine.json");
+}
+
+/// `items / secs` as the whole-number rate the ledger records.
+fn per_sec(items: f64, secs: f64) -> Json {
+    Json::U64((items / secs).round() as u64)
 }

@@ -111,7 +111,7 @@ fn fetch_workers(addr: SocketAddr) -> Option<u64> {
 }
 
 /// Merge the soak percentiles into `BENCH_engine.json` as the
-/// `service_soak` row, preserving everything other tools wrote.
+/// `service_soak` row, leaving every other tool's rows as they were.
 fn update_bench(
     path: &str,
     requests: u64,
@@ -120,14 +120,6 @@ fn update_bench(
     sketch: &LatencySketch,
     per_sec: f64,
 ) {
-    let mut doc = match std::fs::read_to_string(path) {
-        Ok(text) => Json::parse(&text).expect("existing bench file parses"),
-        Err(_) => {
-            let mut fresh = Json::obj();
-            fresh.set("generated_by", Json::Str("examples/load_gen.rs".into()));
-            fresh
-        }
-    };
     let pct = sketch.percentiles();
     let mut row = Json::obj();
     row.set("requests", Json::U64(requests));
@@ -139,10 +131,12 @@ fn update_bench(
     row.set("p90_us", Json::U64(pct.p90));
     row.set("p99_us", Json::U64(pct.p99));
     row.set("requests_per_sec", Json::F64(per_sec));
-    doc.set("service_soak", row);
-    let mut text = doc.canonical();
-    text.push('\n');
-    std::fs::write(path, text).expect("write bench file");
+    v6report::ledger::record(
+        std::path::Path::new(path),
+        "examples/load_gen.rs",
+        vec![("service_soak", row)],
+    )
+    .expect("record bench file");
     eprintln!("updated {path} (service_soak row)");
 }
 

@@ -21,6 +21,7 @@
 //! throughput is merged into `BENCH_engine.json` as the
 //! `population_census` row the bench manifest normalizes.
 
+use std::path::Path;
 use std::time::Instant;
 
 use v6fleet::{CensusSketch, FleetRunner, PopulationSpec};
@@ -84,40 +85,27 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// Parse (or seed) the raw bench doc so a section rewrite preserves
-/// every other writer's rows.
-fn load_bench(path: &str) -> Json {
-    match std::fs::read_to_string(path) {
-        Ok(text) => Json::parse(&text).expect("existing bench file parses"),
-        Err(_) => {
-            let mut fresh = Json::obj();
-            fresh.set(
-                "generated_by",
-                Json::Str("examples/population_census.rs".into()),
-            );
-            fresh
-        }
-    }
-}
-
-fn write_bench(path: &str, doc: &Json, section: &str) {
-    let mut text = doc.canonical();
-    text.push('\n');
-    std::fs::write(path, text).expect("write bench file");
+/// Record `row` as `section` of the bench file at `path`, leaving every
+/// other tool's rows as they were.
+fn record_bench(path: &str, section: &str, row: Json) {
+    v6report::ledger::record(
+        Path::new(path),
+        "examples/population_census.rs",
+        vec![(section, row)],
+    )
+    .expect("record bench file");
     eprintln!("updated {path} ({section} row)");
 }
 
 /// Merge this run's throughput into `BENCH_engine.json` as the
-/// `population_census` row, preserving everything `bench_report` wrote.
+/// `population_census` row.
 fn update_bench(path: &str, samples: u64, shards: usize, threads: usize, per_sec: f64) {
-    let mut doc = load_bench(path);
     let mut row = Json::obj();
     row.set("samples", Json::U64(samples));
     row.set("shards", Json::U64(shards as u64));
     row.set("threads", Json::U64(threads as u64));
     row.set("scenarios_per_sec", Json::F64(per_sec));
-    doc.set("population_census", row);
-    write_bench(path, &doc, "population_census");
+    record_bench(path, "population_census", row);
 }
 
 /// The warm-vs-cold differential benchmark behind `just warm-bench`:
@@ -176,12 +164,10 @@ fn run_warm_bench(args: &Args, path: &str) {
     }
     println!("aggregates: identical across all three runs");
 
-    let mut doc = load_bench(path);
     let mut row = Json::obj();
     row.set("samples", Json::U64(args.size));
     row.set("shards", Json::U64(args.shards as u64));
     row.set("threads", Json::U64(args.threads as u64));
-    row.set("available_parallelism", Json::U64(parallelism as u64));
     row.set("cold_scenarios_per_sec", Json::F64(cold_per_sec));
     row.set("warm_scenarios_per_sec", Json::F64(warm1_per_sec));
     row.set("speedup", Json::F64(speedup));
@@ -189,8 +175,7 @@ fn run_warm_bench(args: &Args, path: &str) {
     if let Some(scaling) = scaling {
         row.set("thread_scaling", Json::F64(scaling));
     }
-    doc.set("warm_cell", row);
-    write_bench(path, &doc, "warm_cell");
+    record_bench(path, "warm_cell", row);
 }
 
 fn main() {

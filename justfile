@@ -15,11 +15,12 @@ fleet:
     cargo test -q --test fleet
     cargo test -q --test golden_trace
 
-# Lint gate: the whole workspace (every target) warning-clean, plus
-# canonical formatting.
+# Lint gate: the whole workspace (every target) warning-clean,
+# canonical formatting, and rustdoc without dangling or private links.
 lint:
     cargo clippy --workspace --all-targets -- -D warnings
     cargo fmt --all --check
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # Emit fresh canonical run manifests (clean matrix, every fault
 # variant, the 100k sampled population, bench) into target/reports for
